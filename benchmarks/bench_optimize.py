@@ -6,19 +6,16 @@ Eq. 10 searches across array sizes, and emits ``BENCH_optimize.json``:
 * simulated annealing with the generic scalar objective (naive) against
   the compiled delta-cost fast path — same seeds, same proposal sequence,
   so the best powers must agree bit-for-bit;
-* multi-restart annealing in population mode (all chains lockstep, one
-  batched kernel call per pricing round) against the per-chain supervisor
-  — same spawned seeds, so best power, assignment, and evaluation counts
-  must agree bit-for-bit;
+* multi-restart annealing (4 chains run one after another under the
+  supervisor);
 * greedy descent, naive vs delta-cost;
 * batched :meth:`CompiledPowerModel.powers` against a Python loop of
   single evaluations (the random-baseline workload).
 
 Timings are the minimum over ``--repeats`` runs (the standard low-noise
 estimator on shared machines). The script exits non-zero when the fast
-and naive annealers disagree on the seeded smoke case or when population
-mode deviates from the per-chain path at any size, so CI can gate on the
-exactness of the delta kernels without gating on machine speed.
+and naive annealers disagree on the seeded smoke case, so CI can gate on
+the exactness of the delta kernels without gating on machine speed.
 
 Run as ``python benchmarks/bench_optimize.py [--quick]`` (needs the
 package importable, e.g. ``pip install -e .`` or ``PYTHONPATH=src``).
@@ -106,29 +103,13 @@ def bench_size(n: int, repeats: int, baseline_k: int, run_naive_sa: bool):
         row["sa_speedup"] = t_naive / t_fast
         row["sa_identical"] = sa_naive.power == sa_fast.power
 
-    t_pop, sa_pop = timed(
+    t_restarts, _ = timed(
         lambda: simulated_annealing(
-            compiled, n, rng=np.random.default_rng(SEED),
-            n_restarts=4, population=True,
+            compiled, n, rng=np.random.default_rng(SEED), n_restarts=4
         ),
         repeats,
     )
-    t_chains, sa_chains = timed(
-        lambda: simulated_annealing(
-            compiled, n, rng=np.random.default_rng(SEED),
-            n_restarts=4, population=False,
-        ),
-        repeats,
-    )
-    row["sa_population_s"] = t_pop
-    row["sa_chains_s"] = t_chains
-    row["sa_population_power"] = sa_pop.power
-    row["sa_population_speedup"] = t_chains / t_pop
-    row["sa_population_identical"] = bool(
-        sa_pop.power == sa_chains.power
-        and sa_pop.assignment == sa_chains.assignment
-        and sa_pop.evaluations == sa_chains.evaluations
-    )
+    row["sa_restarts_s"] = t_restarts
 
     start = SignedPermutation.identity(n)
     t_greedy_fast, greedy_fast = timed(
@@ -229,12 +210,7 @@ def main(argv=None) -> int:
             )
         else:
             print(f"  SA fast {row['sa_fast_s']:.2f}s (naive skipped)")
-        print(
-            f"  SA x4 restarts: population {row['sa_population_s']:.2f}s "
-            f"vs chains {row['sa_chains_s']:.2f}s  "
-            f"({row['sa_population_speedup']:.1f}x)  "
-            f"identical={row['sa_population_identical']}"
-        )
+        print(f"  SA x4 restarts {row['sa_restarts_s']:.2f}s")
         print(
             f"  powers() batched {row['powers_batched_s'] * 1e3:.1f}ms "
             f"vs loop {row['powers_loop_s'] * 1e3:.1f}ms  "
@@ -259,16 +235,6 @@ def main(argv=None) -> int:
         return 1
     if not gate["identical"]:
         print("FAIL: fast and naive annealers disagree on the smoke case")
-        return 1
-    bad_population = [
-        row["n"] for row in report["results"]
-        if not row["sa_population_identical"]
-    ]
-    if bad_population:
-        print(
-            "FAIL: population annealing deviates from the per-chain "
-            f"path at n={bad_population}"
-        )
         return 1
     return 0
 

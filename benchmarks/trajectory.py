@@ -8,7 +8,8 @@ performance history — `evals/s` for the annealer fast path, `words/s`
 for the online codec service, `files/s` for every analyzer pass, and
 (when ``BENCH_grid.json`` is present) `jobs/s` for the distributed
 grid's claim/execute/verify overhead — without anyone having to diff
-the full reports.
+the full reports. Every entry also records ``src_lines``, the total line
+count of ``src/repro/**/*.py`` (informational, not gated).
 
 Run (after the three benchmarks):
 
@@ -33,6 +34,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 TRAJECTORY = HERE / "TRAJECTORY.jsonl"
 BASELINES = HERE / "baselines"
+PACKAGE = HERE.parent / "src" / "repro"
 
 
 def git_revision() -> str:
@@ -101,9 +103,17 @@ def grid_headline(report: dict) -> dict:
     return {"jobs": report["results"][0]["jobs"], "stages": stages}
 
 
+def src_lines(package: Path = PACKAGE) -> int:
+    """Total lines of the package's Python sources (as ``wc -l`` counts)."""
+    return sum(
+        path.read_bytes().count(b"\n") for path in package.rglob("*.py")
+    )
+
+
 def build_entry(bench_dir: Path) -> dict:
     entry = {
         "revision": git_revision(),
+        "src_lines": src_lines(),
         "optimize": optimize_headline(_load(bench_dir / "BENCH_optimize.json")),
         "serve": serve_headline(_load(bench_dir / "BENCH_serve.json")),
         "lint": lint_headline(_load(bench_dir / "BENCH_lint.json")),

@@ -444,241 +444,6 @@ class SearchState:
         return delta
 
 
-class PopulationState:
-    """Stacked :class:`SearchState` for ``C`` lockstep annealing chains.
-
-    Population annealing (see :func:`repro.core.optimize.simulated_annealing`)
-    advances all restart chains through their proposal windows together,
-    so each pricing round wants *one* batched kernel call across every
-    chain instead of one call per chain. This class holds the per-chain
-    search state stacked along a leading chain axis — ``(C, 4, n, n)``
-    matrix stacks, ``(C, n)`` line payloads, ``(C, 4, n)`` aggregates —
-    and prices mixed-chain batches with chain-indexed gathers.
-
-    **Bit-identity contract:** every per-chain quantity is maintained with
-    the same floating-point operation sequence as a standalone
-    :class:`SearchState` (refreshes run per chain on contiguous views, the
-    swap kernel's gather is forced to the same memory layout before its
-    einsum), so pricing chain ``c``'s proposals here returns the same
-    deltas, to the last ulp, as pricing them on chain ``c``'s own state.
-    That is what makes population annealing decision-identical to the
-    thread-per-chain path. Commits refresh only the touched chain
-    (``O(n^2)``); commits are rare next to pricings, exactly as for
-    :class:`SearchState`. Not thread-safe — the population advances in one
-    thread, that being the point.
-    """
-
-    __slots__ = (
-        "compiled", "n_chains", "line_of_bit", "bit_of_line", "inverted",
-        "sw", "p", "eps", "powers",
-        "_all", "_capdc", "_agg", "_tog_lin", "_tc_sum",
-    )
-
-    def __init__(
-        self,
-        compiled: CompiledPowerModel,
-        assignments: Sequence[SignedPermutation],
-    ) -> None:
-        if not compiled.symmetric:
-            raise ValueError(
-                "delta-cost search requires a symmetric capacitance model"
-            )
-        n = compiled.n_lines
-        n_chains = len(assignments)
-        if n_chains < 1:
-            raise ValueError("population needs at least one chain")
-        self.compiled = compiled
-        self.n_chains = n_chains
-        self.line_of_bit = np.empty((n_chains, n), dtype=np.intp)
-        self.bit_of_line = np.empty((n_chains, n), dtype=np.intp)
-        self.inverted = np.empty((n_chains, n), dtype=bool)
-        self.sw = np.empty((n_chains, n))
-        self.p = np.empty((n_chains, n))
-        self.eps = np.empty((n_chains, n))
-        self.powers = np.empty(n_chains)
-        self._all = np.empty((n_chains, 4, n, n))
-        self._agg = np.empty((n_chains, 4, n))
-        self._tog_lin = np.empty((n_chains, n))
-        self._tc_sum = np.empty((n_chains, n))
-        # Shared refresh scratch; slot 1 is the constant dC (see
-        # SearchState), slot 0 is rebuilt per refreshed chain.
-        self._capdc = np.empty((2, n, n))
-        self._capdc[1] = compiled.delta_c
-        for chain, assignment in enumerate(assignments):
-            check_enabled(check_signed_permutation, assignment)
-            if assignment.n_bits != n:
-                raise ValueError("assignment size mismatch")
-            self.line_of_bit[chain] = np.asarray(
-                assignment.line_of_bit, dtype=np.intp
-            )
-            self.bit_of_line[chain] = np.asarray(
-                assignment.bit_of_line, dtype=np.intp
-            )
-            self.inverted[chain] = np.asarray(assignment.inverted, dtype=bool)
-            order = self.bit_of_line[chain]
-            flipped = self.inverted[chain][order]
-            signs = np.where(flipped, -1.0, 1.0)
-            self.sw[chain] = compiled.self_switching[order]
-            p = compiled.probabilities[order].copy()
-            p[flipped] = 1.0 - p[flipped]
-            self.p[chain] = p
-            self.eps[chain] = p - 0.5
-            t_c = compiled.t_c[np.ix_(order, order)] * np.outer(signs, signs)
-            self._all[chain, 0] = compiled.c_r
-            self._all[chain, 1] = compiled.delta_c
-            self._all[chain, 2] = t_c
-            self._all[chain, 3] = t_c.T
-            self._agg[chain, 0] = compiled.crs
-            self._agg[chain, 1] = compiled.dsum
-            self._refresh(chain)
-
-    # -- views -----------------------------------------------------------------
-
-    def assignment(self, chain: int) -> SignedPermutation:
-        """Chain ``chain``'s current assignment (immutable snapshot)."""
-        return SignedPermutation(
-            tuple(int(x) for x in self.line_of_bit[chain]),
-            tuple(bool(x) for x in self.inverted[chain]),
-        )
-
-    # -- aggregate maintenance -------------------------------------------------
-
-    def _refresh(self, chain: int) -> None:
-        """Rebuild one chain's aggregates and exact power, ``O(n^2)``.
-
-        Runs the exact operation sequence of ``SearchState._refresh`` on
-        chain views (refreshes happen only on commits, so a per-chain pass
-        costs nothing next to the batched pricings it enables).
-        """
-        comp = self.compiled
-        eps = self.eps[chain]
-        cap = self._capdc[0]
-        np.multiply(comp.delta_c, eps[:, None] + eps[None, :], out=cap)
-        cap += comp.c_r
-        tt = self._all[chain, 2:]
-        tcd = tt[0] * self._capdc
-        rows = tcd.sum(axis=2)
-        cols = tcd.sum(axis=1)
-        agg = self._agg[chain]
-        agg[2] = comp.delta_c @ eps
-        agg[3] = self.sw[chain] @ comp.delta_c
-        self._tog_lin[chain] = agg[3] + rows[1] + cols[1]
-        self._tc_sum[chain] = rows[0] + cols[0]
-        self.powers[chain] = (
-            float(self.sw[chain] @ cap.sum(axis=1)) - float(tcd[0].sum())
-        )
-
-    # -- move pricing (state unchanged) ----------------------------------------
-
-    def delta_toggles(
-        self, chains: np.ndarray, bits: np.ndarray
-    ) -> np.ndarray:
-        """Toggle deltas for a mixed-chain batch: ``bits[i]`` on ``chains[i]``.
-
-        Elementwise chain-indexed gathers around the same O(1) formula as
-        :meth:`SearchState.delta_toggles`; per element the float operation
-        sequence is identical, so the deltas are bit-equal.
-        """
-        chains = np.asarray(chains, dtype=np.intp)
-        bits = np.asarray(bits, dtype=np.intp)
-        lines = self.line_of_bit[chains, bits]
-        eps_new = (1.0 - self.p[chains, lines]) - 0.5
-        de = eps_new - self.eps[chains, lines]
-        comp = self.compiled
-        return (
-            de * (
-                self.sw[chains, lines] * comp.dsum[lines]
-                + self._tog_lin[chains, lines]
-            )
-            + 2.0 * self._tc_sum[chains, lines]
-        )
-
-    def delta_swaps(
-        self, chains: np.ndarray, pairs: np.ndarray
-    ) -> np.ndarray:
-        """Swap deltas for a mixed-chain batch: ``pairs[i]`` on ``chains[i]``.
-
-        The chain-indexed gather is forced to the exact memory layout of
-        :meth:`SearchState.delta_swaps`' gather before the shared einsum
-        contraction, so each proposal's delta is bit-equal to what its own
-        chain's :class:`SearchState` would return.
-        """
-        comp = self.compiled
-        chains = np.asarray(chains, dtype=np.intp)
-        pairs = np.asarray(pairs, dtype=np.intp)
-        ll = self.line_of_bit[chains, pairs.T]   # (2, B): [la, lb]
-        la, lb = ll[0], ll[1]
-        e_ab = self.eps[chains, ll]              # (2, B)
-        e_a, e_b = e_ab[0], e_ab[1]
-        s_ab = self.sw[chains, ll]
-        # Chain-indexed gather of [C_R, dC, t, t^T] rows at both lines.
-        # NumPy lays an advanced-index result out advanced-dims-first, so
-        # SearchState's ``_all[:, ll, :]`` is a (4, 2, B, n) *view* of a
-        # (2, B, 4, n) buffer; this gather's buffer already has exactly
-        # that layout, and moveaxis (no copy!) reproduces the view — the
-        # shared einsum then walks identical strides, keeping every delta
-        # bit-equal to the per-chain path.
-        gathered = np.moveaxis(self._all[chains, :, ll, :], 2, 0)
-        rows = gathered[:2]
-        diff = rows[:, 1]
-        diff -= rows[:, 0]
-        diff[0] += diff[1] * self.eps[chains]
-        x_dd = diff
-        tt_ab = gathered[2:]
-        prods = np.einsum("rpbn,ybn->pyb", tt_ab, x_dd)      # (2, 2, B)
-        cross = self._all[chains, :, la, lb].T               # (4, B)
-        cd_g = cross[:2]
-        diag_g = comp.diag_stack[:, ll]                      # (2, 2, B)
-        diag_sum = diag_g.sum(axis=1) - 2.0 * cd_g           # (2, B)
-        t_cross = cross[2] + cross[3]
-        eps_sum = e_a + e_b
-        coupling = (
-            prods[0, 0] + e_a * prods[0, 1]
-            - prods[1, 0] - e_b * prods[1, 1]
-            - t_cross * (diag_sum[0] + diag_sum[1] * eps_sum)
-        )
-        agg_g = np.moveaxis(self._agg[chains, :, ll], 2, 0)  # (4, 2, B)
-        aggd = agg_g[:, 0] - agg_g[:, 1]
-        ds = s_ab[1] - s_ab[0]
-        de = e_b - e_a
-        self_term = (
-            ds * (aggd[0] + aggd[2])
-            + aggd[1] * (s_ab[1] * e_b - s_ab[0] * e_a)
-            + de * (aggd[3] + ds * diag_sum[1])
-        )
-        return self_term - coupling
-
-    # -- move application ------------------------------------------------------
-
-    def toggle(self, chain: int, bit: int) -> None:
-        """Commit an inversion toggle on one chain."""
-        line = int(self.line_of_bit[chain, bit])
-        self.inverted[chain, bit] = not self.inverted[chain, bit]
-        self.p[chain, line] = 1.0 - self.p[chain, line]
-        self.eps[chain, line] = self.p[chain, line] - 0.5
-        tt = self._all[chain, 2:]
-        tt[:, line, :] *= -1.0
-        tt[:, :, line] *= -1.0
-        self._refresh(chain)
-
-    def swap(self, chain: int, bit_a: int, bit_b: int) -> None:
-        """Commit a bit-pair swap on one chain."""
-        la = int(self.line_of_bit[chain, bit_a])
-        lb = int(self.line_of_bit[chain, bit_b])
-        if la == lb:
-            return
-        self.line_of_bit[chain, bit_a] = lb
-        self.line_of_bit[chain, bit_b] = la
-        self.bit_of_line[chain, la] = bit_b
-        self.bit_of_line[chain, lb] = bit_a
-        for arr in (self.sw, self.p, self.eps):
-            arr[chain, la], arr[chain, lb] = arr[chain, lb], arr[chain, la]
-        tt = self._all[chain, 2:]
-        tt[:, [la, lb], :] = tt[:, [lb, la], :]
-        tt[:, :, [la, lb]] = tt[:, :, [lb, la]]
-        self._refresh(chain)
-
-
 def as_compiled(
     cost: Union[PowerModel, CompiledPowerModel, object],
 ) -> Optional[CompiledPowerModel]:
@@ -772,34 +537,6 @@ REPRO_SIGNATURES = {
     },
     "SearchState.assignment": {"return": "SignedPermutation"},
     "SearchState.power": "scalar farad",
-    "PopulationState": {
-        "compiled": "CompiledPowerModel",
-        "assignments": "any",
-    },
-    "PopulationState.delta_toggles": {
-        "chains": "(N,) dimensionless",
-        "bits": "(N,) dimensionless",
-        "return": "(N,) farad",
-    },
-    "PopulationState.delta_swaps": {
-        "chains": "(N,) dimensionless",
-        "pairs": "any",
-        "return": "(N,) farad",
-    },
-    "PopulationState.toggle": {
-        "chain": "scalar dimensionless",
-        "bit": "scalar dimensionless",
-    },
-    "PopulationState.swap": {
-        "chain": "scalar dimensionless",
-        "bit_a": "scalar dimensionless",
-        "bit_b": "scalar dimensionless",
-    },
-    "PopulationState.assignment": {
-        "chain": "scalar dimensionless",
-        "return": "SignedPermutation",
-    },
-    "PopulationState.powers": "(N,) farad",
     # Exactness discipline (REP3xx): compiled evaluations back the
     # fast/naive parity gate, so they must be pure functions of the
     # model and assignment — and their batched float contractions are

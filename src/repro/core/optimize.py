@@ -33,16 +33,13 @@ bit-identical best powers (``SearchResult.evaluations`` counts consumed
 proposals and also matches), which is what CI's benchmark smoke gate
 asserts.
 
-Multi-restart runs on the fast path add a third, still decision-identical
-execution mode: **population annealing**. Instead of one thread per
-restart, all chains advance through their temperature levels in lockstep
-and every pricing round batches the outstanding proposal windows of
-*every* chain into one :class:`~repro.core.fastpower.PopulationState`
-kernel call. Each chain still consumes its own spawned generator through
-:func:`_draw_proposals` and takes the same accept/commit decisions as a
-standalone :func:`_anneal_chain`, so the mode is a pure scheduling
-change: best powers, assignments, and evaluation counts are bit-equal
-per seed (``bench_optimize.py`` gates on this).
+:func:`_anneal_chain` is the one chain driver. Multi-restart runs hand
+one chain per spawned generator to a
+:class:`~repro.runtime.supervision.ChainSupervisor`, which runs them one
+after another with bounded retries, degradation, a shared deadline and
+per-chain checkpoints. Each TSV bundle is small, so neither lockstep
+batching across chains nor a thread pool pays for itself (see
+``docs/performance.md``).
 """
 
 from __future__ import annotations
@@ -57,12 +54,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
-from repro.core.fastpower import (
-    CompiledPowerModel,
-    PopulationState,
-    SearchState,
-    as_compiled,
-)
+from repro.core.fastpower import CompiledPowerModel, SearchState, as_compiled
 from repro.core.power import PowerModel
 from repro.rng import ensure_rng
 from repro.runtime.artifacts import (
@@ -428,13 +420,11 @@ def simulated_annealing(
     min_temperature_ratio: float = 1e-4,
     polish: bool = True,
     n_restarts: int = 1,
-    n_jobs: int = 1,
     deadline_s: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     checkpoint_every: int = 4,
     resume_from: Optional[Union[str, Path]] = None,
     max_chain_retries: int = 2,
-    population: Optional[bool] = None,
 ) -> SearchResult:
     """Simulated annealing over signed permutations (the paper's choice).
 
@@ -451,28 +441,10 @@ def simulated_annealing(
     only the pricing differs (per proposal vs per window), so a fixed seed
     yields bit-identical best powers on both paths.
 
-    ``n_restarts > 1`` runs that many independent chains seeded from the
-    parent generator's spawned seed sequences (deterministic for a fixed
-    generator state regardless of scheduling) and returns the best result;
-    ``n_jobs > 1`` runs the chains on a thread pool — with a
-    :class:`PowerModel` objective each chain owns its search state and only
-    shares the read-only compiled kernels, with a generic callable the
-    caller must ensure the callable is thread-safe.
-
-    ``population`` selects how multiple restarts are scheduled. ``True``
-    advances all chains in lockstep, pricing each round's outstanding
-    proposal windows across every chain with one batched
-    :class:`~repro.core.fastpower.PopulationState` kernel call (requires a
-    power-model cost and no checkpointing); ``False`` keeps the
-    one-chain-at-a-time supervisor. The default ``None`` picks population
-    mode automatically whenever it applies (``n_restarts > 1``, power-model
-    cost, no checkpoint store, ``n_jobs == 1``). The modes are
-    decision-identical — same best powers, assignments, and evaluation
-    counts per seed — except under an interrupt or deadline, where
-    population mode snapshots every chain near the same temperature level
-    instead of giving earlier chains more budget (``completed=False``
-    either way). Chain crashes are retried through the same supervisor in
-    both modes, standalone and bit-identical.
+    ``n_restarts > 1`` runs that many independent chains, one after
+    another, each seeded from one of the parent generator's spawned seed
+    sequences (deterministic for a fixed generator state), and returns the
+    best result.
 
     Fault tolerance (see ``docs/robustness.md``):
 
@@ -496,8 +468,6 @@ def simulated_annealing(
     constraints.validate_for(n_bits)
     if n_restarts < 1:
         raise ValueError(f"n_restarts must be >= 1, got {n_restarts}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     if deadline_s is not None and deadline_s < 0:
         raise ValueError(f"deadline_s must be >= 0, got {deadline_s}")
     if checkpoint_every < 1:
@@ -541,18 +511,6 @@ def simulated_annealing(
     )
 
     compiled = as_compiled(cost)
-    if population:
-        if compiled is None:
-            raise ValueError(
-                "population annealing prices proposals through the compiled "
-                "power model; pass a PowerModel/CompiledPowerModel cost or "
-                "population=False"
-            )
-        if store is not None:
-            raise ValueError(
-                "population annealing does not checkpoint per-chain state; "
-                "use population=False with checkpoint_dir/resume_from"
-            )
     if n_restarts == 1:
         # The single chain consumes the caller's generator directly (so
         # generator state keeps flowing); retries are a multi-chain
@@ -566,30 +524,9 @@ def simulated_annealing(
         )
 
     supervisor = ChainSupervisor(
-        rng, n_restarts, n_jobs=n_jobs, max_retries=max_chain_retries,
+        rng, n_restarts, max_retries=max_chain_retries,
         control=control, name="annealing chain",
     )
-
-    use_population = (
-        population
-        if population is not None
-        else (compiled is not None and store is None and n_jobs == 1)
-    )
-    population_results: Dict[int, SearchResult] = {}
-    population_errors: Dict[int, BaseException] = {}
-    if use_population:
-        # The lockstep pass shares the supervisor's spawned per-chain seed
-        # sequences, so its chains consume the exact generator streams the
-        # thread-per-chain path would. Its results (and injected setup
-        # crashes) are then replayed through the supervisor below as each
-        # chain's attempt 0, which keeps the retry/degradation/interrupt
-        # bookkeeping — and its log lines — byte-identical between modes.
-        population_results, population_errors = _anneal_population(
-            compiled, start, free, invertible,
-            [supervisor.generator_for(index) for index in range(n_restarts)],
-            initial_temperature, cooling, steps_per_temperature,
-            min_temperature_ratio, n_bits, control,
-        )
 
     def run_chain(
         index: int,
@@ -597,15 +534,7 @@ def simulated_annealing(
         chain_control: RunControl,
         attempt: int,
     ) -> SearchResult:
-        if attempt == 0:
-            if index in population_errors:
-                raise population_errors[index]
-            if index in population_results:
-                return population_results[index]
-        # Chains are polished once at the end, on the winner only. A
-        # population chain that crashed at setup retries here standalone —
-        # decision-identical, since both modes take the same decisions
-        # from the same rebuilt generator.
+        # Chains are polished once at the end, on the winner only.
         return _anneal_chain(
             cost, compiled, start, free, invertible, chain_rng,
             initial_temperature, cooling, steps_per_temperature,
@@ -987,294 +916,6 @@ def _anneal_chain(
     return SearchResult(best, best_power, evaluations, completed=completed)
 
 
-class _PopulationChain:
-    """Lockstep bookkeeping of one population-annealing chain.
-
-    Mirrors the local variables of :func:`_anneal_chain`'s fast path —
-    schedule position (level, temperature, floor), the level's pre-drawn
-    proposals partitioned by move type, and the window cursor
-    (offset/horizon/accepted) — so the lockstep driver can suspend a chain
-    between pricing rounds exactly where the sequential loop would be.
-    """
-
-    __slots__ = (
-        "index", "row", "rng", "best", "best_power", "current_power",
-        "evaluations", "temperature", "initial_temperature", "floor",
-        "level", "done", "in_level",
-        "use_toggle", "toggle_bits", "swap_a", "swap_b", "thresholds",
-        "tog_idx", "sw_idx", "tog_bits_lvl", "sw_pairs_lvl",
-        "offset", "horizon", "accepted",
-    )
-
-    def __init__(self, index: int, rng: np.random.Generator) -> None:
-        self.index = index
-        self.row = -1
-        self.rng = rng
-        self.done = False
-        self.in_level = False
-        self.level = 0
-        self.evaluations = 1
-        self.accepted = 0
-
-
-def _anneal_population(
-    compiled: CompiledPowerModel,
-    start: SignedPermutation,
-    free: Sequence[int],
-    invertible: Sequence[int],
-    generators: Sequence[np.random.Generator],
-    initial_temperature: Optional[float],
-    cooling: float,
-    steps_per_temperature: int,
-    min_temperature_ratio: float,
-    n_bits: int,
-    control: Optional[RunControl],
-) -> Tuple[Dict[int, SearchResult], Dict[int, BaseException]]:
-    """All restart chains in lockstep, priced through one population state.
-
-    Runs the exact batched-rejection chain of :func:`_anneal_chain`'s fast
-    path for every generator, but schedules the chains breadth-first: each
-    round collects the current proposal window of every still-running
-    chain and prices all of them with one
-    :meth:`PopulationState.delta_toggles` and one
-    :meth:`PopulationState.delta_swaps` call. Per chain the draw sequence,
-    accept tests, plateau filter, window commits, horizon doubling, and
-    cooling schedule are identical to the sequential code, and the
-    population kernels are bit-equal to :class:`SearchState`'s, so every
-    chain returns the same :class:`SearchResult` it would have returned on
-    its own thread.
-
-    Returns ``(results, errors)`` keyed by chain index: a chain either
-    produced a result or raised at its setup fault point (the caller
-    replays either through the :class:`ChainSupervisor` as attempt 0).
-    """
-    results: Dict[int, SearchResult] = {}
-    errors: Dict[int, BaseException] = {}
-    chains: list = []
-    free_arr = np.asarray(free, dtype=np.intp)
-    inv_arr = np.asarray(invertible, dtype=np.intp)
-
-    def finish(chain: _PopulationChain, completed: bool) -> None:
-        # Drift-free report, as in _anneal_chain: re-derive the winner's
-        # power with the reference operation sequence.
-        results[chain.index] = SearchResult(
-            chain.best, compiled.power(chain.best), chain.evaluations,
-            completed=completed,
-        )
-        chain.done = True
-
-    def interrupt(chain: _PopulationChain) -> None:
-        logger.warning(
-            "chain_%02d interrupted at level %d; returning best-so-far",
-            chain.index, chain.level,
-        )
-        if control is not None:
-            control.request_stop(interrupted=True)
-        finish(chain, completed=False)
-
-    # -- per-chain setup and warm-up (sequential, consumes only the
-    # chain's own generator — identical to _anneal_chain's preamble) -----------
-    starts = []
-    for index, rng in enumerate(generators):
-        chain = _PopulationChain(index, rng)
-        try:
-            fault_point("chain_crash", chain=index, attempt=0)
-        except KeyboardInterrupt:
-            raise
-        except Exception as error:
-            errors[index] = error
-            continue
-        chain.best = start
-        try:
-            state = compiled.start(start)
-            chain.current_power = state.power
-            chain.best_power = chain.current_power
-            chain_t = initial_temperature
-            if chain_t is None:
-                samples = []
-                for _ in range(max(20, 2 * n_bits)):
-                    move = _propose_move(rng, free, invertible)
-                    if move[0] == "toggle":
-                        state.toggle(move[1])
-                    else:
-                        state.swap(move[1], move[2])
-                    value = state.power
-                    probe = state.assignment()
-                    chain.evaluations += 1
-                    samples.append(value)
-                    if value < chain.best_power:
-                        chain.best, chain.best_power = probe, value
-                spread = float(np.std(samples))
-                chain_t = spread if spread > 0.0 else abs(chain.best_power) * 0.01
-                # Restart the chain from the best warm-up sample.
-                state = compiled.start(chain.best)
-                chain.current_power = state.power
-                chain.best_power = chain.current_power
-            chain.initial_temperature = chain_t
-            chain.temperature = chain_t
-            chain.floor = chain_t * min_temperature_ratio
-        except KeyboardInterrupt:
-            interrupt(chain)
-            continue
-        chain.row = len(starts)
-        starts.append(chain.best if initial_temperature is None else start)
-        chains.append(chain)
-
-    if not chains:
-        return results, errors
-    pop = PopulationState(compiled, starts)
-
-    def start_level(chain: _PopulationChain) -> None:
-        """Level boundary: stop checks, then pre-draw the level's proposals."""
-        if not (chain.temperature > chain.floor and chain.temperature > 0.0):
-            finish(chain, completed=True)
-            return
-        fault_point("interrupt_at", chain=chain.index, level=chain.level)
-        if control is not None and control.should_stop():
-            finish(chain, completed=False)
-            return
-        use_toggle, toggle_bits, swap_a, swap_b, accept_u = _draw_proposals(
-            chain.rng, steps_per_temperature, free_arr, inv_arr
-        )
-        chain.use_toggle = use_toggle
-        chain.toggle_bits = toggle_bits
-        chain.swap_a = swap_a
-        chain.swap_b = swap_b
-        chain.thresholds = -chain.temperature * np.log(accept_u)
-        chain.tog_idx = np.flatnonzero(use_toggle)
-        chain.sw_idx = np.flatnonzero(~use_toggle)
-        chain.tog_bits_lvl = (
-            toggle_bits[chain.tog_idx] if len(chain.tog_idx) else None
-        )
-        chain.sw_pairs_lvl = (
-            np.column_stack((swap_a[chain.sw_idx], swap_b[chain.sw_idx]))
-            if len(chain.sw_idx) else None
-        )
-        chain.offset = 0
-        chain.horizon = 1
-        chain.accepted = 0
-        chain.in_level = True
-
-    try:
-        while True:
-            for chain in chains:
-                if not chain.done and not chain.in_level:
-                    try:
-                        start_level(chain)
-                    except KeyboardInterrupt:
-                        interrupt(chain)
-            pricing = [chain for chain in chains if not chain.done]
-            if not pricing:
-                break
-
-            # -- one batched pricing round across every running chain ----------
-            spans = []
-            tog_rows: list = []
-            tog_bits: list = []
-            sw_rows: list = []
-            sw_pairs: list = []
-            for chain in pricing:
-                span = min(
-                    chain.horizon * _PROPOSAL_BATCH,
-                    steps_per_temperature - chain.offset,
-                )
-                end = chain.offset + span
-                t_lo, t_hi = np.searchsorted(
-                    chain.tog_idx, (chain.offset, end)
-                )
-                s_lo, s_hi = np.searchsorted(chain.sw_idx, (chain.offset, end))
-                spans.append((chain, span, end, t_lo, t_hi, s_lo, s_hi))
-                if t_hi > t_lo:
-                    tog_rows.append(
-                        np.full(t_hi - t_lo, chain.row, dtype=np.intp)
-                    )
-                    tog_bits.append(chain.tog_bits_lvl[t_lo:t_hi])
-                if s_hi > s_lo:
-                    sw_rows.append(
-                        np.full(s_hi - s_lo, chain.row, dtype=np.intp)
-                    )
-                    sw_pairs.append(chain.sw_pairs_lvl[s_lo:s_hi])
-            tog_deltas = (
-                pop.delta_toggles(
-                    np.concatenate(tog_rows), np.concatenate(tog_bits)
-                )
-                if tog_rows else None
-            )
-            sw_deltas = (
-                pop.delta_swaps(
-                    np.concatenate(sw_rows), np.concatenate(sw_pairs)
-                )
-                if sw_rows else None
-            )
-
-            # -- per-chain window scan and commit, exactly as sequential -------
-            tog_off = 0
-            sw_off = 0
-            for chain, span, end, t_lo, t_hi, s_lo, s_hi in spans:
-                deltas = np.empty(span)
-                if t_hi > t_lo:
-                    deltas[chain.tog_idx[t_lo:t_hi] - chain.offset] = (
-                        tog_deltas[tog_off:tog_off + (t_hi - t_lo)]
-                    )
-                    tog_off += t_hi - t_lo
-                if s_hi > s_lo:
-                    deltas[chain.sw_idx[s_lo:s_hi] - chain.offset] = (
-                        sw_deltas[sw_off:sw_off + (s_hi - s_lo)]
-                    )
-                    sw_off += s_hi - s_lo
-                plateau = _PLATEAU_REL_TOL * abs(chain.current_power)
-                accept = (
-                    deltas <= chain.thresholds[chain.offset:end]
-                ) & (np.abs(deltas) > plateau)
-                committed = False
-                for woff in range(0, span, _PROPOSAL_BATCH):
-                    wlen = min(_PROPOSAL_BATCH, span - woff)
-                    wacc = accept[woff:woff + wlen]
-                    if not wacc.any():
-                        continue
-                    wdel = deltas[woff:woff + wlen]
-                    hit = int(np.argmin(np.where(wacc, wdel, np.inf)))
-                    idx = chain.offset + woff + hit
-                    if chain.use_toggle[idx]:
-                        pop.toggle(chain.row, int(chain.toggle_bits[idx]))
-                    else:
-                        pop.swap(
-                            chain.row, int(chain.swap_a[idx]),
-                            int(chain.swap_b[idx]),
-                        )
-                    chain.current_power = float(pop.powers[chain.row])
-                    if chain.current_power < chain.best_power:
-                        chain.best = pop.assignment(chain.row)
-                        chain.best_power = chain.current_power
-                    chain.accepted += 1
-                    chain.evaluations += woff + wlen
-                    chain.offset += woff + wlen
-                    chain.horizon = 1
-                    committed = True
-                    break
-                if not committed:
-                    chain.evaluations += span
-                    chain.offset = end
-                    chain.horizon *= 2
-                if chain.offset >= steps_per_temperature:
-                    chain.temperature *= cooling
-                    chain.level += 1
-                    chain.in_level = False
-                    if (
-                        chain.accepted == 0
-                        and chain.temperature
-                        < chain.initial_temperature * 1e-2
-                    ):
-                        finish(chain, completed=True)
-    except KeyboardInterrupt:
-        # An asynchronous Ctrl-C mid-round: every unfinished chain returns
-        # its best-so-far, like the sequential handler.
-        for chain in chains:
-            if not chain.done:
-                interrupt(chain)
-    return results, errors
-
-
 def optimize_power_model(
     model: PowerModel,
     method: str = "sa",
@@ -1282,7 +923,6 @@ def optimize_power_model(
     constraints: AssignmentConstraints = AssignmentConstraints(),
     rng: Optional[np.random.Generator] = None,
     n_restarts: int = 1,
-    n_jobs: int = 1,
     deadline_s: Optional[float] = None,
     checkpoint_dir: Optional[Union[str, Path]] = None,
     resume_from: Optional[Union[str, Path]] = None,
@@ -1302,7 +942,6 @@ def optimize_power_model(
             constraints=constraints,
             rng=rng,
             n_restarts=n_restarts,
-            n_jobs=n_jobs,
             deadline_s=deadline_s,
             checkpoint_dir=checkpoint_dir,
             resume_from=resume_from,

@@ -26,24 +26,19 @@ CLI shorthand ``"correlator:channels=4,negated"``.
 Every codec encodes a chunk as NumPy batch kernels — no per-word Python
 loop. The gray/correlator transforms are array ops outright; the invert
 codes' sequential decisions collapse to :func:`_invert_state_walk`, a
-prefix scan over the one-bit decision state. The per-word reference
-loops are retained (``_encode_scalar``) and proven bit-identical by the
-parity suite; ``REPRO_SCALAR_CODECS=1`` swaps them back in.
+prefix scan over the one-bit decision state. The parity suite proves
+every kernel bit-identical to the offline per-word transform of the whole
+stream under random chunk splits.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.coding.businvert import (
-    _popcount,
-    coupling_transition_cost,
-    coupling_transition_costs,
-)
+from repro.coding.businvert import _popcount, coupling_transition_costs
 from repro.tsv.geometry import TSVArrayGeometry
 
 #: Widest word the int64 codecs support; wider streams must be split
@@ -74,18 +69,6 @@ def _check_words(words: np.ndarray, width: int) -> np.ndarray:
     if len(words) and ((words < 0) | (words >= (1 << width))).any():
         raise ValueError(f"words outside unsigned range for width {width}")
     return words
-
-
-def _use_scalar_kernels() -> bool:
-    """Whether codecs should run their per-word reference loops.
-
-    The batch kernels below are bit-identical to the scalar loops (the
-    parity suite in ``tests/serve/test_codec_parity.py`` proves it on
-    random words, widths and chunk splits), but the loops remain the
-    ground truth: set ``REPRO_SCALAR_CODECS=1`` to serve through them,
-    e.g. to bisect a suspect kernel on a very wide bus.
-    """
-    return os.environ.get("REPRO_SCALAR_CODECS", "") not in ("", "0")
 
 
 def _state_int(
@@ -450,8 +433,7 @@ class BusInvertCodec(StreamCodec):
     word-to-word distances price both branches of every decision at once
     (popcount table for buses up to ``_MAX_POPCOUNT_TABLE_BITS`` bits,
     SWAR popcount beyond) and :func:`_invert_state_walk` resolves the
-    decision chain without a Python loop. :meth:`_encode_scalar` keeps
-    the reference loop (see :func:`_use_scalar_kernels`).
+    decision chain without a Python loop.
     """
 
     kind = "businvert"
@@ -469,7 +451,6 @@ class BusInvertCodec(StreamCodec):
                 _popcount(np.arange(1 << width, dtype=np.int64)),
                 dtype=np.int64,
             )
-        self._scalar = _use_scalar_kernels()
         self.reset()
 
     def reset(self) -> None:
@@ -478,8 +459,8 @@ class BusInvertCodec(StreamCodec):
 
     def encode(self, words: np.ndarray) -> np.ndarray:
         words = _check_words(words, self.width_in)
-        if self._scalar or len(words) == 0:
-            return self._encode_scalar(words)
+        if len(words) == 0:
+            return words
         width = self.width_in
         mask = (1 << width) - 1
         flag_bit = 1 << width
@@ -502,32 +483,6 @@ class BusInvertCodec(StreamCodec):
         out = np.where(invert, (words ^ mask) | flag_bit, words)
         self._enc_prev = int(out[-1]) & mask
         self._enc_flag = bool(invert[-1])
-        return out
-
-    def _encode_scalar(self, words: np.ndarray) -> np.ndarray:
-        """Reference per-word loop; bit-identical to the batch kernel."""
-        width = self.width_in
-        mask = (1 << width) - 1
-        popcount = self._popcount
-        out = np.empty(len(words), dtype=np.int64)
-        previous = self._enc_prev
-        flag = self._enc_flag
-        flag_bit = 1 << width
-        for t, word in enumerate(map(int, words)):
-            if popcount is not None:
-                distance = int(popcount[previous ^ word])
-            else:
-                distance = bin(previous ^ word).count("1")
-            if 2 * distance > width:
-                previous = word ^ mask
-                flag = True
-                out[t] = previous | flag_bit
-            else:
-                previous = word
-                flag = False
-                out[t] = word
-        self._enc_prev = previous
-        self._enc_flag = flag
         return out
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
@@ -589,8 +544,7 @@ class CouplingInvertCodec(StreamCodec):
     :func:`_invert_state_walk`): for buses up to ``_MAX_COST_TABLE_LINES``
     lines the costs come from a precomputed table, wider buses use the
     vectorized :func:`~repro.coding.businvert.coupling_transition_costs`
-    bit tricks. :meth:`_encode_scalar` keeps the reference loop (see
-    :func:`_use_scalar_kernels`).
+    bit tricks.
     """
 
     kind = "couplinginvert"
@@ -605,7 +559,6 @@ class CouplingInvertCodec(StreamCodec):
         self._table: Optional[np.ndarray] = None
         if width + 1 <= _MAX_COST_TABLE_LINES:
             self._table = _coupling_cost_table(width + 1)
-        self._scalar = _use_scalar_kernels()
         self.reset()
 
     def reset(self) -> None:
@@ -613,8 +566,8 @@ class CouplingInvertCodec(StreamCodec):
 
     def encode(self, words: np.ndarray) -> np.ndarray:
         words = _check_words(words, self.width_in)
-        if self._scalar or len(words) == 0:
-            return self._encode_scalar(words)
+        if len(words) == 0:
+            return words
         width = self.width_in
         mask = (1 << width) - 1
         flag_bit = 1 << width
@@ -651,35 +604,6 @@ class CouplingInvertCodec(StreamCodec):
         invert = _invert_state_walk(if_plain, if_inverted, False)
         out = np.where(invert, inverted, plain)
         self._enc_prev = int(out[-1])
-        return out
-
-    def _encode_scalar(self, words: np.ndarray) -> np.ndarray:
-        """Reference per-word loop; bit-identical to the batch kernel."""
-        width = self.width_in
-        mask = (1 << width) - 1
-        flag_bit = 1 << width
-        out = np.empty(len(words), dtype=np.int64)
-        previous = self._enc_prev
-        table = self._table
-        if table is not None:
-            for t, word in enumerate(map(int, words)):
-                row = table[previous]
-                inverted = (word ^ mask) | flag_bit
-                if row[inverted] < row[word]:
-                    previous = inverted
-                else:
-                    previous = word
-                out[t] = previous
-        else:
-            for t, word in enumerate(map(int, words)):
-                inverted = (word ^ mask) | flag_bit
-                if (coupling_transition_cost(previous, inverted, width + 1)
-                        < coupling_transition_cost(previous, word, width + 1)):
-                    previous = inverted
-                else:
-                    previous = word
-                out[t] = previous
-        self._enc_prev = previous
         return out
 
     def decode(self, coded: np.ndarray) -> np.ndarray:

@@ -251,18 +251,6 @@ class TestSymmetryGuard:
 
 
 class TestMultiChain:
-    def test_restart_results_independent_of_jobs(self):
-        model = make_model(N, 2, True)
-        serial = simulated_annealing(
-            model, N, rng=np.random.default_rng(21), n_restarts=3, n_jobs=1
-        )
-        threaded = simulated_annealing(
-            model, N, rng=np.random.default_rng(21), n_restarts=3, n_jobs=3
-        )
-        assert serial.power == threaded.power
-        assert serial.assignment == threaded.assignment
-        assert serial.evaluations == threaded.evaluations
-
     def test_restart_power_is_consistent(self):
         model = make_model(N, 2, True)
         compiled = CompiledPowerModel.compile(model)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.fastpower import CompiledPowerModel
 from repro.core.optimize import SearchResult, simulated_annealing
 from repro.runtime.faults import inject_faults
 
@@ -19,10 +20,6 @@ class TestValidation:
     def test_n_restarts(self, model):
         with pytest.raises(ValueError, match="got 0"):
             reference(model, n_restarts=0)
-
-    def test_n_jobs(self, model):
-        with pytest.raises(ValueError, match="got -3"):
-            reference(model, n_restarts=2, n_jobs=-3)
 
     def test_negative_deadline(self, model):
         with pytest.raises(ValueError, match="got -1.0"):
@@ -80,6 +77,26 @@ class TestInterruptResume:
             resume_from=tmp_path,
         )
         assert resumed.power == clean.power
+        assert resumed.evaluations == clean.evaluations
+
+    def test_multi_restart_resume_on_compiled_cost(self, model, tmp_path):
+        compiled = CompiledPowerModel.compile(model)
+        clean = reference(compiled, n_restarts=3)
+        # The 80th level boundary falls inside chain 1: chain 0 has
+        # finished, chain 2 stops at its first boundary.
+        with inject_faults("interrupt_at(80)"):
+            partial = reference(
+                compiled, n_restarts=3, checkpoint_dir=tmp_path
+            )
+        assert not partial.completed
+        assert sorted(path.name for path in tmp_path.glob("*.ckpt.json")) == [
+            f"chain_{index:02d}.ckpt.json" for index in range(3)
+        ]
+
+        resumed = reference(compiled, n_restarts=3, resume_from=tmp_path)
+        assert resumed.completed
+        assert resumed.power == clean.power
+        assert resumed.assignment == clean.assignment
         assert resumed.evaluations == clean.evaluations
 
     def test_stale_checkpoint_ignored(self, model, tmp_path, caplog):

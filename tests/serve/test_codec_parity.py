@@ -1,24 +1,22 @@
-"""Batch-kernel parity: vectorized codecs == scalar reference loops.
+"""Batch-kernel parity: chunked codecs == offline whole-stream transforms.
 
-The invert codecs encode through :func:`_invert_state_walk` batch
-kernels but keep their per-word loops (``_encode_scalar``) as ground
-truth, switchable with ``REPRO_SCALAR_CODECS=1``.  This suite proves
-the two paths bit-identical on hypothesis-random words, widths and
-chunk splits — including the carried decision state across chunks,
-``reset()``, and the wide-bus fallbacks (SWAR popcount past the
-bus-invert table, vectorized coupling costs past the coupling table).
-
-The gray/correlator codecs have no scalar loop (their kernels are pure
-array ops); their reference is the offline :mod:`repro.coding`
-transform of the whole stream, checked here under random splits.
+Every streaming codec encodes a chunk as NumPy batch kernels (the invert
+codes through :func:`_invert_state_walk`).  The ground truth is the
+offline per-word (scalar) transform of :mod:`repro.coding` applied to
+the whole stream: for the invert codes
+:func:`~repro.coding.businvert.bus_invert_encode` /
+:func:`~repro.coding.businvert.coupling_invert_encode` with the flag
+packed in band as bit ``width``.  This suite proves the codecs
+bit-identical to it on hypothesis-random words, widths and chunk splits —
+including the carried decision state across chunks, ``reset()``, and the
+wide-bus fallbacks (SWAR popcount past the bus-invert table, vectorized
+coupling costs past the coupling table).
 """
-
-import os
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.coding.businvert import bus_invert_encode, coupling_invert_encode
 from repro.coding.correlator import correlate_words
 from repro.coding.gray import gray_encode_words
 from repro.serve.codecs import (
@@ -28,18 +26,13 @@ from repro.serve.codecs import (
     CorrelatorCodec,
     CouplingInvertCodec,
     GrayCodec,
-    _use_scalar_kernels,
 )
 
-SCALAR_ENV = {"REPRO_SCALAR_CODECS": "1"}
 
-
-def scalar(cls, *args, **kwargs):
-    """Construct a codec that serves through its reference loop."""
-    with mock.patch.dict(os.environ, SCALAR_ENV):
-        codec = cls(*args, **kwargs)
-    assert codec._scalar
-    return codec
+def in_band(encode, words, width):
+    """Offline invert transform of a whole stream, flag packed as bit ``width``."""
+    coded, flags = encode(words, width)
+    return coded.astype(np.int64) | (flags.astype(np.int64) << width)
 
 
 def encode_chunked(codec, words, cuts):
@@ -65,19 +58,16 @@ def cut_points(max_cuts=5):
     return st.lists(st.integers(0, 120), max_size=max_cuts)
 
 
-class TestEnvKnob:
-    def test_default_is_batch(self):
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_CODECS": ""}):
-            assert not _use_scalar_kernels()
-            assert not BusInvertCodec(8)._scalar
-        with mock.patch.dict(os.environ, {"REPRO_SCALAR_CODECS": "0"}):
-            assert not _use_scalar_kernels()
-
-    def test_env_swaps_in_the_reference_loops(self):
-        with mock.patch.dict(os.environ, SCALAR_ENV):
-            assert _use_scalar_kernels()
-            assert BusInvertCodec(8)._scalar
-            assert CouplingInvertCodec(8)._scalar
+def assert_state_carries_then_reset_forgets(codec, encode, first, second):
+    """Chunk two continues chunk one's stream; after reset() it starts anew."""
+    width = codec.width_in
+    codec.encode(first)
+    whole = in_band(encode, np.concatenate([first, second]), width)
+    np.testing.assert_array_equal(codec.encode(second), whole[len(first):])
+    codec.reset()
+    np.testing.assert_array_equal(
+        codec.encode(second), in_band(encode, second, width)
+    )
 
 
 class TestBusInvertParity:
@@ -89,30 +79,22 @@ class TestBusInvertParity:
     )
     def test_batch_matches_scalar_under_any_split(self, width, words, cuts):
         stream = words.draw(word_stream(width))
-        batch = BusInvertCodec(width)
-        reference = scalar(BusInvertCodec, width)
-        got = encode_chunked(batch, stream, cuts)
-        want = encode_chunked(reference, stream, cuts)
-        np.testing.assert_array_equal(got, want)
-        assert batch._enc_prev == reference._enc_prev
-        assert batch._enc_flag == reference._enc_flag
+        codec = BusInvertCodec(width)
+        want = in_band(bus_invert_encode, stream, width)
+        np.testing.assert_array_equal(
+            encode_chunked(codec, stream, cuts), want
+        )
+        if len(stream):
+            assert codec._enc_prev == int(want[-1]) & ((1 << width) - 1)
+            assert codec._enc_flag == bool(want[-1] >> width)
 
     @settings(max_examples=30, deadline=None)
     @given(width=st.integers(1, 12), words=st.data())
     def test_state_carries_then_reset_forgets(self, width, words):
         first = words.draw(word_stream(width, min_size=1))
         second = words.draw(word_stream(width, min_size=1))
-        batch = BusInvertCodec(width)
-        reference = scalar(BusInvertCodec, width)
-        batch.encode(first)
-        reference.encode(first)
-        np.testing.assert_array_equal(
-            batch.encode(second), reference.encode(second)
-        )
-        batch.reset()
-        fresh = BusInvertCodec(width)
-        np.testing.assert_array_equal(
-            batch.encode(second), fresh.encode(second)
+        assert_state_carries_then_reset_forgets(
+            BusInvertCodec(width), bus_invert_encode, first, second
         )
 
     def test_wide_bus_swar_fallback_matches_scalar(self):
@@ -120,12 +102,11 @@ class TestBusInvertParity:
         stream = np.random.default_rng(3).integers(
             0, 1 << width, 400, dtype=np.int64
         )
-        batch = BusInvertCodec(width)
-        reference = scalar(BusInvertCodec, width)
-        assert batch._popcount is None
+        codec = BusInvertCodec(width)
+        assert codec._popcount is None
         np.testing.assert_array_equal(
-            encode_chunked(batch, stream, [13, 250]),
-            encode_chunked(reference, stream, [13, 250]),
+            encode_chunked(codec, stream, [13, 250]),
+            in_band(bus_invert_encode, stream, width),
         )
 
     @settings(max_examples=30, deadline=None)
@@ -147,24 +128,24 @@ class TestCouplingInvertParity:
     )
     def test_batch_matches_scalar_under_any_split(self, width, words, cuts):
         stream = words.draw(word_stream(width))
-        batch = CouplingInvertCodec(width)
-        reference = scalar(CouplingInvertCodec, width)
-        got = encode_chunked(batch, stream, cuts)
-        want = encode_chunked(reference, stream, cuts)
-        np.testing.assert_array_equal(got, want)
-        assert batch._enc_prev == reference._enc_prev
+        codec = CouplingInvertCodec(width)
+        want = in_band(coupling_invert_encode, stream, width)
+        np.testing.assert_array_equal(
+            encode_chunked(codec, stream, cuts), want
+        )
+        if len(stream):
+            assert codec._enc_prev == int(want[-1])
 
     @settings(max_examples=20, deadline=None)
     @given(words=st.data(), cuts=cut_points())
     def test_wide_bus_cost_kernel_matches_scalar(self, words, cuts):
         width = _MAX_COST_TABLE_LINES + 2
         stream = words.draw(word_stream(width, max_size=80))
-        batch = CouplingInvertCodec(width)
-        reference = scalar(CouplingInvertCodec, width)
-        assert batch._table is None
+        codec = CouplingInvertCodec(width)
+        assert codec._table is None
         np.testing.assert_array_equal(
-            encode_chunked(batch, stream, cuts),
-            encode_chunked(reference, stream, cuts),
+            encode_chunked(codec, stream, cuts),
+            in_band(coupling_invert_encode, stream, width),
         )
 
     @settings(max_examples=30, deadline=None)
@@ -172,17 +153,8 @@ class TestCouplingInvertParity:
     def test_state_carries_then_reset_forgets(self, width, words):
         first = words.draw(word_stream(width, min_size=1))
         second = words.draw(word_stream(width, min_size=1))
-        batch = CouplingInvertCodec(width)
-        reference = scalar(CouplingInvertCodec, width)
-        batch.encode(first)
-        reference.encode(first)
-        np.testing.assert_array_equal(
-            batch.encode(second), reference.encode(second)
-        )
-        batch.reset()
-        fresh = CouplingInvertCodec(width)
-        np.testing.assert_array_equal(
-            batch.encode(second), fresh.encode(second)
+        assert_state_carries_then_reset_forgets(
+            CouplingInvertCodec(width), coupling_invert_encode, first, second
         )
 
     @settings(max_examples=30, deadline=None)
