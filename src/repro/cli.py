@@ -462,6 +462,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve import BatchPolicy, LinkServer
 
@@ -473,6 +474,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     async def run() -> None:
+        # SIGTERM closes the server (and its socket file) like SIGINT.
+        asyncio.get_running_loop().add_signal_handler(
+            signal.SIGTERM, asyncio.current_task().cancel
+        )
         if args.workers is not None:
             from repro.serve.fleet import FleetServer
 
@@ -495,7 +500,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         finally:
             await server.close()
 
-    asyncio.run(run())
+    try:
+        asyncio.run(run())
+    except asyncio.CancelledError:  # SIGTERM
+        pass
     return 0
 
 

@@ -26,26 +26,7 @@ from typing import Tuple
 
 import numpy as np
 
-#: Widest word the int64 codecs support: bit ``width`` must still be
-#: addressable (the invert codes put a flag there) and ``1 << width``
-#: must not overflow a signed 64-bit transport word.
-MAX_WORD_WIDTH = 62
-
-
-def _check(words: np.ndarray, width: int) -> np.ndarray:
-    if not 1 <= width <= MAX_WORD_WIDTH:
-        raise ValueError(
-            f"width must be in 1..{MAX_WORD_WIDTH} (int64 word transport), "
-            f"got {width}"
-        )
-    words = np.asarray(words)
-    if words.ndim != 1:
-        raise ValueError("word stream must be 1-D")
-    if not np.issubdtype(words.dtype, np.integer):
-        raise ValueError("word stream must be integer")
-    if ((words < 0) | (words >= (1 << width))).any():
-        raise ValueError(f"words outside unsigned range for width {width}")
-    return words.astype(np.int64)
+from repro.datagen.util import check_unsigned_words, words_to_bits
 
 
 #: SWAR popcount constants (Hacker's Delight, fig. 5-2).
@@ -77,7 +58,7 @@ def _popcount(values: np.ndarray | int) -> np.ndarray | int:
 
 def bus_invert_encode(words: np.ndarray, width: int) -> Tuple[np.ndarray, np.ndarray]:
     """Classic bus-invert: minimize Hamming distance to the previous word."""
-    words = _check(words, width)
+    words = check_unsigned_words(words, width)
     mask = (1 << width) - 1
     coded = np.empty_like(words)
     flags = np.zeros(len(words), dtype=np.uint8)
@@ -98,7 +79,7 @@ def bus_invert_decode(
     coded: np.ndarray, flags: np.ndarray, width: int
 ) -> np.ndarray:
     """Inverse of :func:`bus_invert_encode`."""
-    coded = _check(coded, width)
+    coded = check_unsigned_words(coded, width)
     flags = np.asarray(flags)
     if flags.shape != coded.shape:
         raise ValueError("flags must align with the coded words")
@@ -166,7 +147,7 @@ def coupling_invert_encode(
     to the MSB, as the original scheme does) and transmits the cheaper one.
     Ties keep the plain word.
     """
-    words = _check(words, width)
+    words = check_unsigned_words(words, width)
     mask = (1 << width) - 1
     coded = np.empty_like(words)
     flags = np.zeros(len(words), dtype=np.uint8)
@@ -203,9 +184,7 @@ def coded_bit_stream(
     Returns a ``(samples, width + 1)`` array with the flag on the last
     (MSB-adjacent) line, matching the cost model of the encoder.
     """
-    from repro.datagen.util import words_to_bits
-
-    coded = _check(coded, width)
+    coded = check_unsigned_words(coded, width)
     flags = np.asarray(flags, dtype=np.uint8)
     if flags.shape != coded.shape:
         raise ValueError("flags must align with the coded words")

@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.datagen.util import words_to_bits
 from repro.tsv.geometry import TSVArrayGeometry
 
 
@@ -43,9 +44,7 @@ def adjacency_pairs(
 
 def _all_words_as_bits(m: int) -> np.ndarray:
     """All 2^m codeword candidates, shape (2^m, m), LSB first."""
-    words = np.arange(1 << m, dtype=np.int64)
-    shifts = np.arange(m, dtype=np.int64)
-    return ((words[:, None] >> shifts) & 1).astype(np.int8)
+    return words_to_bits(np.arange(1 << m), m).astype(np.int8)
 
 
 @dataclass(frozen=True)

@@ -17,28 +17,14 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Widest word the int64 codecs support: bit ``width`` must still be
-#: addressable (the invert codes put a flag there) and ``1 << width``
-#: must not overflow a signed 64-bit transport word.
-MAX_WORD_WIDTH = 62
+from repro.datagen.util import check_unsigned_words
 
 
 def _check(words: np.ndarray, width: int, n_channels: int) -> np.ndarray:
-    if not 1 <= width <= MAX_WORD_WIDTH:
-        raise ValueError(
-            f"width must be in 1..{MAX_WORD_WIDTH} (int64 word transport), "
-            f"got {width}"
-        )
+    words = check_unsigned_words(words, width)
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    words = np.asarray(words)
-    if words.ndim != 1:
-        raise ValueError("word stream must be 1-D")
-    if not np.issubdtype(words.dtype, np.integer):
-        raise ValueError("word stream must be integer")
-    if ((words < 0) | (words >= (1 << width))).any():
-        raise ValueError(f"words outside unsigned range for width {width}")
-    return words.astype(np.int64)
+    return words
 
 
 def correlate_words(

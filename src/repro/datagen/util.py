@@ -14,6 +14,31 @@ from typing import Sequence
 
 import numpy as np
 
+#: Widest word the int64 codecs support: bit ``width`` must still be
+#: addressable (the invert codes put a flag there) and ``1 << width``
+#: must not overflow a signed 64-bit transport word.
+MAX_WORD_WIDTH = 62
+
+
+def check_unsigned_words(words: np.ndarray, width: int) -> np.ndarray:
+    """Validate a 1-D unsigned word stream for ``width``-bit int64 transport.
+
+    Returns the words as a fresh int64 array.
+    """
+    if not 1 <= width <= MAX_WORD_WIDTH:
+        raise ValueError(
+            f"width must be in 1..{MAX_WORD_WIDTH} (int64 word transport), "
+            f"got {width}"
+        )
+    words = np.asarray(words)
+    if words.ndim != 1:
+        raise ValueError(f"word stream must be 1-D, got {words.ndim}-D")
+    if not np.issubdtype(words.dtype, np.integer):
+        raise ValueError(f"word stream must be integer, got {words.dtype}")
+    if words.size and (int(words.min()) < 0 or int(words.max()) >= 1 << width):
+        raise ValueError(f"words outside unsigned range for width {width}")
+    return words.astype(np.int64)
+
 
 def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
     """Expand integer words into a ``(samples, width)`` bit stream (LSB first).
@@ -29,12 +54,22 @@ def words_to_bits(words: np.ndarray, width: int) -> np.ndarray:
         raise ValueError(f"word stream must be 1-D, got {words.ndim}-D")
     if not np.issubdtype(words.dtype, np.integer):
         raise ValueError(f"word stream must be integer, got {words.dtype}")
-    lo, hi = -(2 ** (width - 1)), 2**width
-    if ((words < lo) | (words >= hi)).any():
+    if words.size and (
+        int(words.min()) < -(2 ** (width - 1)) or int(words.max()) >= 2**width
+    ):
         raise ValueError(f"words outside representable range for width {width}")
-    unsigned = np.where(words < 0, words + (1 << width), words).astype(np.uint64)
-    shifts = np.arange(width, dtype=np.uint64)
-    return ((unsigned[:, None] >> shifts) & 1).astype(np.uint8)
+    # Little-endian 64-bit words are their own LSB-first byte string, and
+    # the low bits of a sign-extended int64 are its two's complement.
+    words = np.ascontiguousarray(
+        words, dtype="<u8" if words.dtype.kind == "u" else "<i8"
+    )
+    bits = np.unpackbits(
+        words.view(np.uint8).reshape(-1, 8),
+        axis=1, count=width, bitorder="little",
+    )
+    if width > 64:
+        bits[:, 64:] = (words < 0)[:, None]
+    return bits
 
 
 def bits_to_words(bits: np.ndarray, signed: bool = False) -> np.ndarray:

@@ -39,11 +39,9 @@ from typing import Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.coding.businvert import _popcount, coupling_transition_costs
+from repro.coding.gray import gray_decode_words, gray_encode_words
+from repro.datagen.util import MAX_WORD_WIDTH, check_unsigned_words, words_to_bits
 from repro.tsv.geometry import TSVArrayGeometry
-
-#: Widest word the int64 codecs support; wider streams must be split
-#: across links (see the width guard in ``repro.coding``).
-MAX_WORD_WIDTH = 62
 
 #: Widest bus for which the coupling-invert codec precomputes its
 #: transition-cost table (``(2^(w+1))^2`` int8 entries; 10 lines = 1 MiB).
@@ -52,23 +50,6 @@ _MAX_COST_TABLE_LINES = 10
 #: Widest bus for which the bus-invert codec precomputes its popcount
 #: table (``2^w`` int64 entries; 20 bits = 8 MiB).
 _MAX_POPCOUNT_TABLE_BITS = 20
-
-
-def _check_words(words: np.ndarray, width: int) -> np.ndarray:
-    """Validate a 1-D unsigned word chunk for ``width``-bit transport."""
-    if not 1 <= width <= MAX_WORD_WIDTH:
-        raise ValueError(
-            f"width must be in 1..{MAX_WORD_WIDTH}, got {width}"
-        )
-    words = np.asarray(words)
-    if words.ndim != 1:
-        raise ValueError(f"word stream must be 1-D, got {words.ndim}-D")
-    if not np.issubdtype(words.dtype, np.integer):
-        raise ValueError(f"word stream must be integer, got {words.dtype}")
-    words = words.astype(np.int64)
-    if len(words) and ((words < 0) | (words >= (1 << width))).any():
-        raise ValueError(f"words outside unsigned range for width {width}")
-    return words
 
 
 def _state_int(
@@ -269,20 +250,10 @@ class GrayCodec(StreamCodec):
         self.negated = bool(negated)
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        from repro.coding.gray import gray_encode_words
-
-        return gray_encode_words(
-            _check_words(words, self.width_in), self.width_in,
-            negated=self.negated,
-        )
+        return gray_encode_words(words, self.width_in, negated=self.negated)
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        from repro.coding.gray import gray_decode_words
-
-        return gray_decode_words(
-            _check_words(words, self.width_out), self.width_out,
-            negated=self.negated,
-        )
+        return gray_decode_words(words, self.width_out, negated=self.negated)
 
     def spec(self) -> Dict[str, object]:
         return {"kind": self.kind, "negated": self.negated}
@@ -319,7 +290,7 @@ class CorrelatorCodec(StreamCodec):
         self._dec_phase = 0
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        words = _check_words(words, self.width_in)
+        words = check_unsigned_words(words, self.width_in)
         length = len(words)
         if length == 0:
             return words
@@ -351,7 +322,7 @@ class CorrelatorCodec(StreamCodec):
         return out
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
-        coded = _check_words(coded, self.width_out)
+        coded = check_unsigned_words(coded, self.width_out)
         length = len(coded)
         if length == 0:
             return coded
@@ -458,7 +429,7 @@ class BusInvertCodec(StreamCodec):
         self._enc_flag = False  # whether it was the complement
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        words = _check_words(words, self.width_in)
+        words = check_unsigned_words(words, self.width_in)
         if len(words) == 0:
             return words
         width = self.width_in
@@ -486,7 +457,7 @@ class BusInvertCodec(StreamCodec):
         return out
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
-        coded = _check_words(coded, self.width_out)
+        coded = check_unsigned_words(coded, self.width_out)
         width = self.width_in
         mask = (1 << width) - 1
         flags = coded >> width
@@ -522,8 +493,7 @@ def _coupling_cost_table(n_lines: int) -> np.ndarray:
     quiet wire costs 1, everything else is free.
     """
     size = 1 << n_lines
-    shifts = np.arange(n_lines, dtype=np.int64)
-    prev_bits = ((np.arange(size, dtype=np.int64)[:, None] >> shifts) & 1)
+    prev_bits = words_to_bits(np.arange(size), n_lines)
     delta = (
         prev_bits[None, :, :].astype(np.int8)
         - prev_bits[:, None, :].astype(np.int8)
@@ -565,7 +535,7 @@ class CouplingInvertCodec(StreamCodec):
         self._enc_prev = 0  # bus state including the flag as bit `width`
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        words = _check_words(words, self.width_in)
+        words = check_unsigned_words(words, self.width_in)
         if len(words) == 0:
             return words
         width = self.width_in
@@ -607,7 +577,7 @@ class CouplingInvertCodec(StreamCodec):
         return out
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
-        coded = _check_words(coded, self.width_out)
+        coded = check_unsigned_words(coded, self.width_out)
         width = self.width_in
         mask = (1 << width) - 1
         flags = coded >> width
@@ -673,11 +643,11 @@ class CacCodec(StreamCodec):
         )
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        words = _check_words(words, self.width_in)
+        words = check_unsigned_words(words, self.width_in)
         return self._table[words]
 
     def decode(self, coded: np.ndarray) -> np.ndarray:
-        coded = _check_words(coded, self.width_out)
+        coded = check_unsigned_words(coded, self.width_out)
         payload = self._inverse[coded]
         if (payload < 0).any():
             bad = coded[payload < 0][0]
@@ -762,13 +732,13 @@ class CodecChain:
         self.width_out = width
 
     def encode(self, words: np.ndarray) -> np.ndarray:
-        out = _check_words(words, self.width_in)
+        out = check_unsigned_words(words, self.width_in)
         for codec in self.codecs:
             out = codec.encode(out)
         return out
 
     def decode(self, words: np.ndarray) -> np.ndarray:
-        out = _check_words(words, self.width_out)
+        out = check_unsigned_words(words, self.width_out)
         for codec in reversed(self.codecs):
             out = codec.decode(out)
         return out

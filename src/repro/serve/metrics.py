@@ -355,29 +355,31 @@ class EnergyAccount:
             )
         if bits.shape[0] == 0:
             return
-        bits = bits.astype(np.uint8)
+        # One float32 block of transitions: a free first row for the
+        # step from the previous batch's last sample, then this batch's.
+        deltas = np.empty_like(bits, dtype=np.float32)
+        np.subtract(bits[1:], bits[:-1], out=deltas[1:], dtype=np.float32)
         with self._lock:
             if self._last is None:
-                extended = bits
+                deltas = deltas[1:]
             else:
-                extended = np.concatenate([self._last[None, :], bits])
-            if extended.shape[0] >= 2:
-                # Accumulate the transition Gram matrix through float32
-                # SGEMM.  The deltas are exactly 0/±1, every product is
-                # 0/±1, and each (blocked) partial sum is an integer
-                # bounded by the slab length (2**22) — far inside the
-                # 2**24 range where float32 holds integers exactly — so
-                # the product is bit-equal to the int64 one, summation
-                # order notwithstanding, at roughly 4x the throughput.
-                levels = extended.astype(np.float32)
-                deltas = levels[1:] - levels[:-1]
-                for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
-                    slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
-                    gram = slab.T @ slab
-                    self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+                np.subtract(
+                    bits[0], self._last, out=deltas[0], dtype=np.float32
+                )
+            # Accumulate the transition Gram matrix through float32
+            # SGEMM.  The deltas are exactly 0/±1, every product is 0/±1,
+            # and each (blocked) partial sum is an integer bounded by the
+            # slab length (2**22) — far inside the 2**24 range where
+            # float32 holds integers exactly — so the product is
+            # bit-equal to the int64 one, summation order
+            # notwithstanding, at roughly 4x the throughput.
+            for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
+                slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
+                gram = slab.T @ slab
+                self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
             self._ones += bits.sum(axis=0, dtype=np.int64)
             self._n_samples += bits.shape[0]
-            self._last = bits[-1].copy()
+            self._last = bits[-1].astype(np.uint8)
 
     def state_dict(self) -> Dict[str, object]:
         """JSON-able snapshot of the exact accumulated stream moments.

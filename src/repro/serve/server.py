@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import asyncio
 import logging
+import os
 import sys
 import threading
 import traceback
@@ -232,6 +233,8 @@ class LinkServer:
             OrderedDict()
         )
         self._conn_tasks: "set[asyncio.Task[None]]" = set()
+        #: Inode of the unix socket file this server bound.
+        self._socket_ino: Optional[int] = None
 
     async def start(
         self,
@@ -249,6 +252,7 @@ class LinkServer:
                 self._handle_client, path=path
             )
             self.address = path
+            self._socket_ino = os.stat(path).st_ino
         else:
             self._server = await asyncio.start_server(
                 self._handle_client, host=host, port=port
@@ -267,6 +271,13 @@ class LinkServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+            # Remove our socket file, unless another server rebound it.
+            if self._socket_ino is not None:
+                try:
+                    if os.stat(str(self.address)).st_ino == self._socket_ino:
+                        os.unlink(str(self.address))
+                except OSError:
+                    pass
         # wait_closed() does not cover handler coroutines on 3.11: a
         # client parked in read_frame would outlive the loop and leak a
         # GeneratorExit warning at GC. Cancel and reap them explicitly.

@@ -263,14 +263,6 @@ class LinkSession:
 
     # -- data path ----------------------------------------------------------
 
-    def _pad_lines(self, bits: np.ndarray) -> np.ndarray:
-        """Zero-pad a bit batch up to the array's full line count."""
-        if bits.shape[1] == self.n_lines:
-            return bits
-        padded = np.zeros((bits.shape[0], self.n_lines), dtype=bits.dtype)
-        padded[:, : bits.shape[1]] = bits
-        return padded
-
     def encode(
         self, words: np.ndarray, seq: Optional[int] = None
     ) -> np.ndarray:
@@ -284,18 +276,17 @@ class LinkSession:
         with self._lock:
             coded = self.chain.encode(words)
             if len(coded):
-                coded_bits = self._pad_lines(
-                    words_to_bits(coded, self.chain.width_out)
-                )
+                # Both streams are unsigned words narrower than the
+                # array, so expanding them to the full line count leaves
+                # the spare lines at zero.
                 self.coded_energy.update(
-                    self.assignment.apply_to_bits(coded_bits)
+                    self.assignment.apply_to_bits(
+                        words_to_bits(coded, self.n_lines)
+                    )
                 )
                 self.uncoded_energy.update(
-                    self._pad_lines(
-                        words_to_bits(
-                            np.asarray(words, dtype=np.int64),
-                            self.config.width,
-                        )
+                    words_to_bits(
+                        np.asarray(words, dtype=np.int64), self.n_lines
                     )
                 )
             if seq is not None:

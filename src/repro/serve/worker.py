@@ -34,6 +34,7 @@ import asyncio
 import json
 import logging
 import os
+import signal
 from typing import Any, Dict, Optional
 
 from repro.runtime.faults import InjectedFault, fault_point
@@ -162,8 +163,14 @@ def worker_main(
             "fleet worker %d (generation %d) serving on %s",
             index, generation, path,
         )
-        asyncio.get_running_loop().create_task(orphan_watch())
-        await server.serve_forever()
+        loop = asyncio.get_running_loop()
+        loop.create_task(orphan_watch())
+        # SIGTERM (the front's stop) closes the server like SIGINT does.
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
+        try:
+            await server.serve_forever()
+        finally:
+            await server.close()
 
     try:
         asyncio.run(main())

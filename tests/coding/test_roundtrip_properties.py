@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.coding.businvert import (
-    MAX_WORD_WIDTH,
     bus_invert_decode,
     bus_invert_encode,
     coupling_invert_decode,
@@ -22,6 +21,7 @@ from repro.coding.businvert import (
 from repro.coding.cac import build_lat_codebook
 from repro.coding.correlator import correlate_words, decorrelate_words
 from repro.coding.gray import gray_decode_words, gray_encode_words
+from repro.datagen.util import MAX_WORD_WIDTH
 from repro.tsv.geometry import TSVArrayGeometry
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.contracts import ContractViolation
 from repro.core.assignment import AssignmentConstraints, SignedPermutation
 from repro.core.fastpower import (
     CompiledPowerModel,
@@ -218,11 +219,26 @@ class TestSearchParity:
         assert fast.assignment == naive.assignment
 
 
+def asymmetric_matrix():
+    matrix = np.eye(N) * 1e-15
+    matrix[0, 1] = 5e-16  # no matching [1, 0] entry
+    return matrix
+
+
 class TestSymmetryGuard:
+    """The contracts-off fallback for asymmetric models.
+
+    With runtime contracts on, such a model is refused at construction
+    (see ``test_contracts_refuse_asymmetric_model``), so these tests turn
+    them off whatever ``REPRO_CONTRACTS`` says.
+    """
+
+    @pytest.fixture(autouse=True)
+    def contracts_off(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CONTRACTS", "0")
+
     def asymmetric_model(self):
-        matrix = np.eye(N) * 1e-15
-        matrix[0, 1] = 5e-16  # no matching [1, 0] entry
-        return PowerModel(stats_from_seed(N, 9), matrix)
+        return PowerModel(stats_from_seed(N, 9), asymmetric_matrix())
 
     def test_as_compiled_refuses_asymmetric(self):
         model = self.asymmetric_model()
@@ -248,6 +264,12 @@ class TestSymmetryGuard:
             model.power, N, rng=np.random.default_rng(4)
         )
         assert via_model.power == via_callable.power
+
+
+def test_contracts_refuse_asymmetric_model(monkeypatch):
+    monkeypatch.setenv("REPRO_CONTRACTS", "1")
+    with pytest.raises(ContractViolation, match="capacitance-symmetry"):
+        PowerModel(stats_from_seed(N, 9), asymmetric_matrix())
 
 
 class TestMultiChain:

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.serve import FleetServer, LinkClient, worker_for
+from repro.serve.fleet import _WorkerHandle
 from repro.serve.server import BackgroundServer
 from repro.serve.session import LinkConfig
 
@@ -259,6 +260,46 @@ class TestDescribe:
         assert {w["index"] for w in info["workers"]} == {0, 1}
         assert "lnk" in info["links"]
         assert info["links"]["lnk"]["worker"] == worker_for("lnk", [0, 1])
+
+
+#: A worker stand-in whose socket file exists (bind) well before it
+#: accepts (listen), then answers the front's boot ``ping``.
+SLOW_LISTEN_WORKER = (
+    "import socket, sys, time\n"
+    "from repro.serve.protocol import read_frame_blocking,"
+    " write_frame_blocking\n"
+    "server = socket.socket(socket.AF_UNIX)\n"
+    "server.bind(sys.argv[1])\n"
+    "time.sleep(0.5)\n"
+    "server.listen()\n"
+    "conn, _ = server.accept()\n"
+    "stream = conn.makefile('rwb')\n"
+    "header, _ = read_frame_blocking(stream)\n"
+    "write_frame_blocking(stream, {'id': header['id'], 'ok': True})\n"
+    "stream.read()\n"
+)
+
+
+class TestWorkerBoot:
+    def test_boot_waits_for_listen_not_for_the_socket_file(self, tmp_path):
+        handle = _WorkerHandle(0, tmp_path / "worker-0.sock")
+        handle.process = subprocess.Popen(
+            [sys.executable, "-c", SLOW_LISTEN_WORKER,
+             str(handle.socket_path)]
+        )
+
+        async def boot():
+            fleet = FleetServer(n_workers=1, runtime_dir=str(tmp_path))
+            try:
+                await fleet._wait_ready(handle)
+            finally:
+                await handle.channel.close()
+                await fleet.engine.close()
+
+        try:
+            asyncio.run(boot())
+        finally:
+            handle.kill()
 
 
 class TestOrphanGuard:

@@ -7,6 +7,12 @@ server-reported per-link energy matches an offline
 relative (the implementation is in fact bit-identical).
 """
 
+import signal
+import socket
+import stat
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -243,6 +249,58 @@ class TestUnixSocket:
                     "unix", client.stream("unix", words), op="decode"
                 )
                 np.testing.assert_array_equal(back, words)
+
+    def test_close_removes_the_socket_file(self, tmp_path):
+        path = tmp_path / "serve.sock"
+        with BackgroundServer(path=str(path)):
+            assert path.is_socket()
+        assert not path.exists()
+
+    def test_close_keeps_a_socket_file_bound_by_someone_else(self, tmp_path):
+        path = tmp_path / "serve.sock"
+        with BackgroundServer(path=str(path)):
+            # Another process replaces the path while this server runs.
+            path.unlink()
+            other = socket.socket(socket.AF_UNIX)
+            other.bind(str(path))
+        try:
+            assert path.is_socket()
+        finally:
+            other.close()
+
+
+def _unix_sockets(root):
+    return sorted(
+        str(p) for p in root.rglob("*") if stat.S_ISSOCK(p.lstat().st_mode)
+    )
+
+
+@pytest.mark.parametrize("workers", [None, 2], ids=["single", "fleet"])
+@pytest.mark.parametrize(
+    "signum", [signal.SIGINT, signal.SIGTERM], ids=["SIGINT", "SIGTERM"]
+)
+def test_cli_serve_removes_its_sockets_on_signal(tmp_path, signum, workers):
+    path = tmp_path / "serve.sock"
+    argv = [sys.executable, "-m", "repro", "serve", "--unix", str(path)]
+    if workers is not None:
+        argv += ["--workers", str(workers),
+                 "--runtime-dir", str(tmp_path / "runtime")]
+    proc = subprocess.Popen(
+        argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+    )
+    try:
+        # "serving on" is printed once the front (and every worker) is up.
+        assert proc.stdout.readline().startswith(b"serving on")
+        assert _unix_sockets(tmp_path)
+        proc.send_signal(signum)
+        proc.wait(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stdout.close()
+    assert proc.returncode in (0, 130)
+    assert _unix_sockets(tmp_path) == []
 
 
 class TestStopHangDetection:
