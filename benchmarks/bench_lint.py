@@ -1,12 +1,11 @@
-"""Analyzer speed: shallow lint, shape/unit, concurrency, exactness.
+"""Analyzer speed: shallow lint and the concurrency pass.
 
-All four run in CI and pre-commit on every change, so their wall time
-over ``src/repro`` belongs in the bench trajectory next to the physics
+Both run in CI and pre-commit on every change, so their wall time over
+``src/repro`` belongs in the bench trajectory next to the physics
 kernels: a regression here slows every contributor.  The concurrency
-and exactness passes additionally carry explicit wall-time budgets
-(2 s each over the package) — their fixpoints (may-block closure,
-transitive acquisitions, memoized interprocedural summaries) are the
-parts most likely to blow up as the tree grows.
+pass additionally carries an explicit wall-time budget (2 s over the
+package) — its fixpoints (may-block closure, transitive acquisitions)
+are the parts most likely to blow up as the tree grows.
 
 Run:  PYTHONPATH=src python benchmarks/bench_lint.py [--quick]
 Writes ``benchmarks/BENCH_lint.json`` (gitignored; the committed seed
@@ -24,8 +23,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.concurrency import analyze_threads
-from repro.analysis.exactness import analyze_exactness
-from repro.analysis.flow import analyze_paths
 from repro.analysis.linter import iter_python_files, lint_paths
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
@@ -34,11 +31,6 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 #: best-of-repeats).  Generous against the ~1 s measured cost so CI
 #: noise does not trip it, tight enough to catch a quadratic blowup.
 THREAD_BUDGET_S = 2.0
-
-#: Same deal for the exactness pass (REP301..REP306): its memoized
-#: function summaries are linear today (~1.3 s measured); the budget
-#: catches a recursion-guard or summary-invalidation regression.
-EXACT_BUDGET_S = 2.0
 
 
 @pytest.fixture(scope="module")
@@ -54,21 +46,9 @@ def test_shallow_lint_src(benchmark, src_tree):
     assert findings == []
 
 
-def test_deep_lint_src(benchmark, src_tree):
-    """Interprocedural shape/unit pass REP101..REP104 over the package."""
-    findings = benchmark(analyze_paths, src_tree)
-    assert findings == []
-
-
 def test_thread_lint_src(benchmark, src_tree):
     """Concurrency pass REP201..REP206 over the package."""
     findings = benchmark(analyze_threads, src_tree)
-    assert findings == []
-
-
-def test_exact_lint_src(benchmark, src_tree):
-    """Exactness/determinism pass REP301..REP306 over the package."""
-    findings = benchmark(analyze_exactness, src_tree)
     assert findings == []
 
 
@@ -102,9 +82,7 @@ def main(argv=None) -> int:
     n_files = len(list(iter_python_files([SRC])))
     passes = (
         ("shallow", lint_paths, None),
-        ("flow", analyze_paths, None),
         ("threads", analyze_threads, THREAD_BUDGET_S),
-        ("exact", analyze_exactness, EXACT_BUDGET_S),
     )
 
     report = {

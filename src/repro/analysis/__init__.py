@@ -3,18 +3,13 @@
 Two halves:
 
 * :mod:`repro.analysis.linter` — an AST linter with repo-specific rules
-  (``REP001`` .. ``REP005``): RNG reproducibility, vectorization,
-  deprecated NumPy API, float equality, parameter mutation. Run it with
-  ``repro-tsv lint`` or ``python -m repro.analysis``. With ``--threads``
-  the concurrency pass of :mod:`repro.analysis.concurrency` adds the
+  (``REP001`` .. ``REP007``): RNG reproducibility, vectorization,
+  deprecated NumPy API, float equality, parameter mutation, unjoined
+  daemon threads. Run it with ``repro-tsv lint`` or
+  ``python -m repro.analysis``. With ``--threads`` the interprocedural
+  concurrency pass of :mod:`repro.analysis.concurrency` adds the
   ``REP201`` .. ``REP206`` family (locksets, lock-order graphs,
-  thread-escape inference). With ``--exact`` the exactness/determinism
-  pass of :mod:`repro.analysis.exactness` adds ``REP301`` .. ``REP306``
-  (exact-int contamination, unordered iteration, RNG sharing, float
-  reduction order, wall-clock leakage, float tie-breaks). With ``--deep``
-  all three deep passes — shape/unit inference of
-  :mod:`repro.analysis.flow` (``REP101`` .. ``REP104``), concurrency and
-  exactness — run together.
+  thread-escape inference).
 * :mod:`repro.analysis.contracts` — validators for the paper's physical
   invariants (SPICE-form ``C``, Eq. 5 signed permutations, probability
   ranges, ``T_s``/``T_c`` consistency), enforced at the core boundaries
@@ -97,9 +92,7 @@ def run_lint(
     paths: Sequence[str],
     output_format: str = "text",
     stream=None,
-    deep: bool = False,
     threads: bool = False,
-    exact: bool = False,
     exclude: Sequence[str] = (),
 ) -> int:
     """Lint ``paths`` and print findings; return a CI-friendly exit code.
@@ -107,28 +100,17 @@ def run_lint(
     ``0`` when clean, ``1`` when findings exist, ``2`` on usage errors
     (e.g. a path that does not exist). With ``threads=True`` the
     concurrency pass (``REP201``..``REP206``) runs on top of the shallow
-    AST rules; ``exact=True`` runs the exactness/determinism pass
-    (``REP301``..``REP306``); ``deep=True`` adds all three deep passes,
-    including the interprocedural shape/unit pass
-    (``REP101``..``REP104``). Findings under any path in ``exclude`` are
+    AST rules. Findings under any path in ``exclude`` are
     dropped — how CI lints ``tests/`` while skipping the
     deliberately-bad fixture corpora.
     """
     stream = sys.stdout if stream is None else stream
     try:
         findings = lint_paths(paths)
-        if deep:
-            from repro.analysis.flow import analyze_paths
-
-            findings = sorted(set(findings) | set(analyze_paths(paths)))
-        if deep or threads:
+        if threads:
             from repro.analysis.concurrency import analyze_threads
 
             findings = sorted(set(findings) | set(analyze_threads(paths)))
-        if deep or exact:
-            from repro.analysis.exactness import analyze_exactness
-
-            findings = sorted(set(findings) | set(analyze_exactness(paths)))
         if exclude:
             findings = _excluded(findings, exclude)
     except FileNotFoundError as exc:
@@ -157,8 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="python -m repro.analysis",
         description=(
             "repo-specific physics/numerics linter (REP001..REP007; "
-            "--threads adds REP201..REP206, --exact adds REP301..REP306, "
-            "--deep adds every deep pass)"
+            "--threads adds REP201..REP206)"
         ),
     )
     parser.add_argument(
@@ -170,19 +151,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format",
     )
     parser.add_argument(
-        "--deep", action="store_true",
-        help=(
-            "run the interprocedural shape/unit, concurrency and "
-            "exactness passes too"
-        ),
-    )
-    parser.add_argument(
         "--threads", action="store_true",
         help="run the concurrency-safety pass (REP201..REP206)",
-    )
-    parser.add_argument(
-        "--exact", action="store_true",
-        help="run the exactness/determinism pass (REP301..REP306)",
     )
     parser.add_argument(
         "--exclude", action="append", default=[], metavar="PATH",
@@ -192,8 +162,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return run_lint(
         args.paths,
         output_format=args.format,
-        deep=args.deep,
         threads=args.threads,
-        exact=args.exact,
         exclude=args.exclude,
     )

@@ -1,7 +1,7 @@
 """Interprocedural concurrency-safety inference (the ``--threads`` pass).
 
-A lockset/thread-escape analysis over the package's ASTs, built on the
-same module/registry machinery as :mod:`repro.analysis.flow`. For every
+A lockset/thread-escape analysis over the package's ASTs, seeded by the
+annotations collected in :mod:`repro.analysis.registry`. For every
 function it tracks
 
 * the **lockset** held at each statement — ``with self._lock:`` blocks,
@@ -51,10 +51,10 @@ Annotation mini-language (module ``REPRO_SIGNATURES`` keys):
                     "_plan guarded_by _plan_lock"],     # module global
         "@threads": ["ServeEngine._run_batch", "LinkSession"],
         "@blocking": ["fault_point"],
-        ...
+        "LinkSession.coded_energy": "EnergyAccount",   # attribute type
     }
 
-Run with ``repro-tsv lint --threads`` (also folded into ``--deep``).
+Run with ``repro-tsv lint --threads``.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ from pathlib import Path
 from typing import (
     Dict,
     List,
+    Mapping,
     Optional,
     Sequence,
     Set,
@@ -72,13 +73,7 @@ from typing import (
 )
 
 from repro.analysis.findings import Finding
-from repro.analysis.flow import (
-    FunctionInfo,
-    ModuleInfo,
-    _load_module,
-    _static_signatures,
-)
-from repro.analysis.linter import _noqa_lines, iter_python_files
+from repro.analysis.linter import ImportMap, _noqa_lines, iter_python_files
 from repro.analysis.registry import SignatureRegistry, build_registry
 
 __all__ = ["THREAD_RULES", "analyze_threads", "analyze_thread_source"]
@@ -107,6 +102,73 @@ _TIMEOUT_BLOCKING_ATTRS = frozenset({"join", "get", "result", "wait"})
 
 #: Name calls that block (canonical dotted names).
 _BLOCKING_CANONICALS = frozenset({"time.sleep", "concurrent.futures.wait"})
+
+
+class ModuleInfo:
+    """One parsed file under analysis."""
+
+    def __init__(self, path: Path, source: str, tree: ast.Module) -> None:
+        self.path = path
+        self.source = source
+        self.tree = tree
+        self.imports = ImportMap(tree)
+        self.name = _module_name_for(path)
+
+
+class FunctionInfo:
+    """One function or method found in an analyzed module."""
+
+    def __init__(
+        self,
+        qualname: str,
+        node: Union[ast.FunctionDef, ast.AsyncFunctionDef],
+        module: ModuleInfo,
+        class_name: Optional[str] = None,
+    ) -> None:
+        self.qualname = qualname
+        self.node = node
+        self.module = module
+        self.class_name = class_name
+
+
+def _module_name_for(path: Path) -> str:
+    """Dotted module name, walking up through ``__init__.py`` packages."""
+    path = Path(path)
+    parts = [] if path.stem == "__init__" else [path.stem]
+    directory = path.resolve().parent
+    while (directory / "__init__.py").exists():
+        parts.insert(0, directory.name)
+        parent = directory.parent
+        if parent == directory:
+            break
+        directory = parent
+    return ".".join(parts) or path.stem
+
+
+def _static_signatures(tree: ast.Module) -> Optional[Mapping]:
+    """Extract a module's ``REPRO_SIGNATURES`` dict literal, if present."""
+    for node in tree.body:
+        if (
+            isinstance(node, ast.Assign)
+            and len(node.targets) == 1
+            and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id == "REPRO_SIGNATURES"
+        ):
+            try:
+                value = ast.literal_eval(node.value)
+            except (ValueError, TypeError):
+                return None
+            return value if isinstance(value, dict) else None
+    return None
+
+
+def _load_module(path: Path) -> Optional[ModuleInfo]:
+    try:
+        source = Path(path).read_text(encoding="utf-8")
+        tree = ast.parse(source, filename=str(path))
+    except (OSError, SyntaxError):
+        return None  # shallow lint already reports REP000 for these
+    return ModuleInfo(Path(path), source, tree)
 
 #: Thread-handle attributes that do not leak the handle to another owner.
 _THREAD_METHODS = frozenset(
@@ -306,10 +368,12 @@ class ThreadAnalyzer:
                 and base.value.id == "self"
                 and class_name
             ):
-                attr = self.registry.member_attribute(class_name, base.attr)
-                if attr is not None and attr.obj is not None:
+                attr_type = self.registry.member_attribute(
+                    class_name, base.attr
+                )
+                if attr_type is not None:
                     candidates = self.member_index.get(
-                        f"{attr.obj}.{func.attr}", []
+                        f"{attr_type}.{func.attr}", []
                     )
                     if len(candidates) == 1:
                         return candidates[0]

@@ -65,21 +65,16 @@ def summarize(findings: List[Finding]) -> str:
 def rule_catalog() -> Dict[str, str]:
     """All known rule codes mapped to their one-line summaries.
 
-    Combines the shallow AST rules (``REP001``..) with the deep dataflow
-    family (``REP101``..), the concurrency family (``REP201``..) and the
-    exactness/determinism family (``REP301``..). Imported lazily —
-    :mod:`repro.analysis.linter` and :mod:`repro.analysis.flow` both
+    Combines the shallow AST rules (``REP001``..) with the concurrency
+    family (``REP201``..). Imported lazily — both
+    :mod:`repro.analysis.linter` and :mod:`repro.analysis.concurrency`
     import this module.
     """
     from repro.analysis.concurrency import THREAD_RULES
-    from repro.analysis.exactness import EXACT_RULES
-    from repro.analysis.flow import DEEP_RULES
     from repro.analysis.linter import ALL_RULES
 
     catalog = {rule.code: rule.summary for rule in ALL_RULES}
-    catalog.update(DEEP_RULES)
     catalog.update(THREAD_RULES)
-    catalog.update(EXACT_RULES)
     return catalog
 
 

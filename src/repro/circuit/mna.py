@@ -143,15 +143,3 @@ def assemble(netlist: Netlist) -> MNASystem:
     )
     check_enabled(check_mna_system, system)
     return system
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``M`` is the MNA system size (nodes plus
-#: source/inductor branch currents), distinct from the ``N`` line count.
-REPRO_SIGNATURES = {
-    "assemble": {"netlist": "Netlist", "return": "MNASystem"},
-    "MNASystem.a_matrix": "(M, M) any",
-    "MNASystem.e_matrix": "(M, M) any",
-    "MNASystem.size": "scalar dimensionless",
-    "MNASystem.n_nodes": "scalar dimensionless",
-}

@@ -19,9 +19,8 @@ Subcommands
 ``lint``
     Run the repo-specific static linter (rules ``REP001`` .. ``REP005``,
     see ``docs/static_analysis.md``) over files or directories; exits
-    non-zero when findings remain, so CI can gate on it. ``--deep`` adds
-    the interprocedural shape/unit (``REP101``..), concurrency
-    (``REP201``..) and exactness/determinism (``REP301``..) passes, and
+    non-zero when findings remain, so CI can gate on it. ``--threads``
+    adds the interprocedural concurrency pass (``REP201``..), and
     ``--format sarif|github`` emits CI-native output.
 ``grid``
     The distributed sweep grid (see ``docs/grid.md``): ``plan`` expands a
@@ -453,9 +452,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     return run_lint(
         args.paths,
         output_format=args.format,
-        deep=args.deep,
         threads=args.threads,
-        exact=args.exact,
         exclude=args.exclude,
     )
 
@@ -634,8 +631,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint = sub.add_parser(
         "lint",
         help="run the repo-specific static linter (REP001..REP007; "
-             "--threads adds REP201..REP206, --exact adds REP301..REP306, "
-             "--deep adds every deep pass)",
+             "--threads adds REP201..REP206)",
     )
     p_lint.add_argument(
         "paths", nargs="*", default=["src"],
@@ -644,16 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_lint.add_argument("--format", default="text",
                         choices=("text", "json", "sarif", "github"))
     p_lint.add_argument(
-        "--deep", action="store_true",
-        help="also run the shape/unit, concurrency and exactness passes",
-    )
-    p_lint.add_argument(
         "--threads", action="store_true",
         help="also run the concurrency-safety pass (REP201..REP206)",
-    )
-    p_lint.add_argument(
-        "--exact", action="store_true",
-        help="also run the exactness/determinism pass (REP301..REP306)",
     )
     p_lint.add_argument(
         "--exclude", action="append", default=[], metavar="PATH",

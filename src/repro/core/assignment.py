@@ -258,52 +258,3 @@ class AssignmentConstraints:
     def invertible_bits(self, n_bits: int) -> Tuple[int, ...]:
         """Bits whose inversion flag may be toggled."""
         return tuple(b for b in range(n_bits) if b not in self.no_invert)
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "SignedPermutation.identity": {
-        "n": "scalar dimensionless",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.from_sequence": {
-        "line_of_bit": "any",
-        "inverted": "any",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.random": {
-        "n": "scalar dimensionless",
-        "rng": "any",
-        "with_inversions": "any",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.from_matrix": {
-        "a_pi": "(N, N) dimensionless",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.matrix": {"return": "(N, N) dimensionless"},
-    "SignedPermutation.compose": {
-        "inner": "SignedPermutation",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.inverse": {"return": "SignedPermutation"},
-    "SignedPermutation.apply_to_bits": {
-        "bits": "(T, N) bit",
-        "return": "(T, N) bit",
-    },
-    "SignedPermutation.apply_to_statistics": {
-        "stats": "BitStatistics",
-        "return": "BitStatistics",
-    },
-    "SignedPermutation.with_swapped_bits": {
-        "bit_a": "scalar dimensionless",
-        "bit_b": "scalar dimensionless",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.with_toggled_inversion": {
-        "bit": "scalar dimensionless",
-        "return": "SignedPermutation",
-    },
-    "SignedPermutation.n_bits": "scalar dimensionless",
-}

@@ -472,75 +472,3 @@ def random_assignments(
         SignedPermutation.random(n, rng, with_inversions=with_inversions)
         for _ in range(k)
     ]
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "CompiledPowerModel": {
-        "stats": "BitStatistics",
-        "capacitance": "(N, N) farad spice | LinearCapacitanceModel",
-    },
-    "CompiledPowerModel.compile": {
-        "model": "PowerModel",
-        "return": "CompiledPowerModel",
-    },
-    "CompiledPowerModel.power": {
-        "assignment": "SignedPermutation",
-        "return": "scalar farad",
-    },
-    "CompiledPowerModel.powers": {
-        "assignments": "any",
-        "return": "(N,) farad",
-    },
-    "CompiledPowerModel.start": {
-        "assignment": "SignedPermutation",
-        "return": "SearchState",
-    },
-    "CompiledPowerModel.self_switching": "(N,) probability",
-    "CompiledPowerModel.t_c": "(N, N) dimensionless",
-    "CompiledPowerModel.probabilities": "(N,) probability",
-    "CompiledPowerModel.c_r": "(N, N) farad spice",
-    "CompiledPowerModel.delta_c": "(N, N) farad",
-    "CompiledPowerModel.crs": "(N,) farad",
-    "CompiledPowerModel.dsum": "(N,) farad",
-    "CompiledPowerModel.crdiag": "(N,) farad",
-    "CompiledPowerModel.ddiag": "(N,) farad",
-    "CompiledPowerModel.n_lines": "scalar dimensionless",
-    "SearchState.delta_toggles": {
-        "bits": "(N,) dimensionless",
-        "return": "(N,) farad",
-    },
-    "SearchState.delta_swaps": {
-        "pairs": "any",
-        "return": "(N,) farad",
-    },
-    "SearchState.delta_toggle": {
-        "bit": "scalar dimensionless",
-        "return": "scalar farad",
-    },
-    "SearchState.delta_swap": {
-        "bit_a": "scalar dimensionless",
-        "bit_b": "scalar dimensionless",
-        "return": "scalar farad",
-    },
-    "SearchState.toggle": {
-        "bit": "scalar dimensionless",
-        "delta": "scalar farad",
-        "return": "scalar farad",
-    },
-    "SearchState.swap": {
-        "bit_a": "scalar dimensionless",
-        "bit_b": "scalar dimensionless",
-        "delta": "scalar farad",
-        "return": "scalar farad",
-    },
-    "SearchState.assignment": {"return": "SignedPermutation"},
-    "SearchState.power": "scalar farad",
-    # Exactness discipline (REP3xx): compiled evaluations back the
-    # fast/naive parity gate, so they must be pure functions of the
-    # model and assignment — and their batched float contractions are
-    # order-sensitive, never to be folded into an exact-int tally.
-    "@order_sensitive": ["CompiledPowerModel.power"],
-    "@deterministic": ["CompiledPowerModel.compile"],
-}

@@ -218,7 +218,7 @@ def exhaustive_search(
             # powers, and _enumerate_assignments yields candidates in a
             # fixed lexicographic order, so ties always resolve to the
             # lexicographically-smallest assignment.
-            at = int(np.argmin(values))  # repro: noqa[REP306]
+            at = int(np.argmin(values))
             if values[at] < best_power:
                 best_power = float(values[at])
                 best_assignment = chunk[at]
@@ -960,18 +960,3 @@ def optimize_power_model(
             constraints=constraints,
         )
     raise ValueError(f"unknown optimization method {method!r}")
-
-
-#: Exactness discipline (REP3xx, see ``docs/static_analysis.md``): every
-#: search entry point returns the assignment a paper table is built from,
-#: so for a fixed model/seed the result must be reproducible — no
-#: wall-clock values, unordered iteration, or undocumented float
-#: tie-breaks may decide it.
-REPRO_SIGNATURES = {
-    "@deterministic": [
-        "exhaustive_search",
-        "greedy_descent",
-        "simulated_annealing",
-        "optimize_power_model",
-    ],
-}

@@ -128,40 +128,6 @@ class PowerModel:
         return self.power(assignment) * vdd**2 * frequency / 2.0
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). Normalized power ``P_n = <T, C>`` carries
-#: farads; ``power_watts`` denormalizes to watts via ``C V^2 f``.
-REPRO_SIGNATURES = {
-    "normalized_power": {
-        "stats": "BitStatistics",
-        "cap_matrix": "(N, N) farad spice",
-        "return": "scalar farad",
-    },
-    "PowerModel": {
-        "stats": "BitStatistics",
-        "capacitance": "(N, N) farad spice | LinearCapacitanceModel",
-    },
-    "PowerModel.line_capacitance": {
-        "line_stats": "BitStatistics",
-        "return": "(N, N) farad spice",
-    },
-    "PowerModel.power": {
-        "assignment": "SignedPermutation",
-        "return": "scalar farad",
-    },
-    "PowerModel.power_watts": {
-        "assignment": "SignedPermutation",
-        "vdd": "scalar volt",
-        "frequency": "scalar hertz",
-        "return": "scalar watt",
-    },
-    "PowerModel.stats": "BitStatistics",
-    "PowerModel.cap_model": "LinearCapacitanceModel",
-    "PowerModel.cap_matrix": "(N, N) farad spice",
-    "PowerModel.n_lines": "scalar dimensionless",
-    # Eq. 3 collapses T_s/T_c against C in one float contraction whose
-    # result depends on summation order — it must never feed an
-    # exact-int accumulator, and model evaluations must be reproducible.
-    "@order_sensitive": ["normalized_power"],
-    "@deterministic": ["PowerModel.power"],
-}
+#: Attribute type for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): lets it follow ``self.cap_model`` calls.
+REPRO_SIGNATURES = {"PowerModel.cap_model": "LinearCapacitanceModel"}

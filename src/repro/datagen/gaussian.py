@@ -82,37 +82,3 @@ def gaussian_bit_stream(
     words = ar1_gaussian_words(n_samples, width=width, sigma=sigma, rho=rho,
                                mean=mean, signed=signed, rng=rng)
     return words_to_bits(words, width)
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = samples, ``N`` = bits per word.
-REPRO_SIGNATURES = {
-    "ar1_gaussian_samples": {
-        "n_samples": "scalar dimensionless",
-        "sigma": "scalar dimensionless",
-        "rho": "scalar dimensionless",
-        "mean": "scalar dimensionless",
-        "rng": "any",
-        "return": "(T,) dimensionless",
-    },
-    "ar1_gaussian_words": {
-        "n_samples": "scalar dimensionless",
-        "width": "scalar dimensionless",
-        "sigma": "scalar dimensionless",
-        "rho": "scalar dimensionless",
-        "mean": "scalar dimensionless",
-        "signed": "any",
-        "rng": "any",
-        "return": "(T,) dimensionless",
-    },
-    "gaussian_bit_stream": {
-        "n_samples": "scalar dimensionless",
-        "width": "scalar dimensionless",
-        "sigma": "scalar dimensionless",
-        "rho": "scalar dimensionless",
-        "mean": "scalar dimensionless",
-        "signed": "any",
-        "rng": "any",
-        "return": "(T, N) bit",
-    },
-}

@@ -212,27 +212,3 @@ def percentiles(
             entry[f"p{q:g}"] = float(np.percentile(samples, q))
         result.append(entry)
     return result
-
-
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "select": {
-        "store": "ResultStore | any", "experiment": "any", "where": "any",
-        "return": "any",
-    },
-    "figure_rows": {
-        "store": "ResultStore | any", "experiment": "any", "params": "any",
-        "missing": "any", "return": "any",
-    },
-    "pivot": {
-        "records": "any", "index": "any", "columns": "any", "value": "any",
-        "return": "any",
-    },
-    "percentiles": {
-        "records": "any", "value": "any", "over": "any", "qs": "any",
-        "return": "any",
-    },
-    # Exactness discipline (REP3xx): query output feeds the CI
-    # bit-identity comparison against the serial figure run.
-    "@deterministic": ["figure_rows", "pivot", "percentiles", "select"],
-}

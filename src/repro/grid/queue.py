@@ -439,18 +439,11 @@ class JobQueue:
         return counts[JobState.PENDING] == 0 and counts[JobState.RUNNING] == 0
 
 
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): the set of leases this process holds is
+#: read by the worker's heartbeat thread while the main thread claims and
+#: completes jobs.
 REPRO_SIGNATURES = {
-    "JobQueue": {"root": "any", "max_attempts": "scalar dimensionless"},
-    "JobQueue.claim": {"owner": "any", "return": "Claim | any"},
-    "JobQueue.reclaim_expired": {
-        "lease_timeout_s": "scalar second", "return": "any",
-    },
-    "QueuedJob.attempts": "scalar dimensionless",
-    "default_owner": {"index": "scalar dimensionless", "return": "any"},
-    # Concurrency discipline (REP2xx): the set of leases this process
-    # holds is read by the worker's heartbeat thread while the main
-    # thread claims and completes jobs.
     "@guards": ["JobQueue._held guarded_by _lock"],
     "@threads": ["JobQueue.heartbeat_held"],
 }

@@ -177,20 +177,3 @@ def execute_job(
         match.spec.name, match.thunk, fingerprint=match.spec.fingerprint
     )
     return match.spec.label, values
-
-
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "GridExperiment": {
-        "name": "any", "point_specs": "any", "points": "any",
-    },
-    "point_names_for": {
-        "experiment": "any", "params": "any", "return": "any",
-    },
-    "execute_job": {
-        "spec": "any", "checkpoint_dir": "any", "return": "any",
-    },
-    # Exactness discipline (REP3xx): a job must compute the same values
-    # on every worker that ever claims it.
-    "@deterministic": ["point_names_for", "execute_job"],
-}

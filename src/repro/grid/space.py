@@ -218,26 +218,3 @@ def expand(space: DesignSpace) -> List[Job]:
             job = Job(experiment=space.experiment, params=frozen, point=point)
             jobs[job.fingerprint] = job
     return [jobs[fp] for fp in sorted(jobs)]
-
-
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "job_fingerprint": {
-        "experiment": "any", "params": "any", "point": "any", "return": "any",
-    },
-    "DesignSpace": {
-        "experiment": "any", "base": "any", "axes": "any",
-        "include": "any", "filter": "any", "points": "any", "name": "any",
-    },
-    "expand": {"space": "DesignSpace | any", "return": "any"},
-    "load_space": {"path": "any", "return": "DesignSpace | any"},
-    # Exactness discipline (REP3xx): planning is replayed on every host
-    # that ever resubmits or verifies a grid — expansion and fingerprints
-    # must not depend on set/dict order, wall clock or float tie-breaks.
-    "@deterministic": [
-        "job_fingerprint",
-        "expand",
-        "Job.fingerprint",
-        "Job.spec",
-    ],
-}

@@ -319,25 +319,3 @@ class ResultStore:
             "SELECT COUNT(*) AS n FROM results"
         ).fetchone()
         return int(row["n"])
-
-
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "ResultStore": {"path": "any", "busy_timeout_s": "scalar second"},
-    "ResultStore.record": {
-        "fingerprint": "any", "spec": "any", "label": "any",
-        "values": "any", "worker": "any",
-        "attempts": "scalar dimensionless", "elapsed_s": "scalar second",
-        "revision": "any", "return": "any",
-    },
-    "ResultStore.fetch": {
-        "fingerprint": "any", "return": "ResultRecord | any",
-    },
-    "ResultRecord.attempts": "scalar dimensionless",
-    "ResultRecord.elapsed_s": "scalar second",
-    "ResultRecord.recorded_at": "scalar second",
-    "git_revision": {"cwd": "any", "return": "any"},
-    # Exactness discipline (REP3xx): the verified bytes are exactly the
-    # canonical values JSON — float-exact, key-sorted — never provenance.
-    "@deterministic": ["ResultStore.record values_json"],
-}

@@ -265,19 +265,11 @@ if __name__ == "__main__":
     sys.exit(main())
 
 
-#: Signatures for the deep-lint passes (see ``docs/static_analysis.md``).
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): the heartbeat thread only touches the
+#: queue's lock-guarded held-lease set; the stop event is the sole
+#: cross-thread signal.
 REPRO_SIGNATURES = {
-    "GridWorker": {
-        "root": "any", "index": "scalar dimensionless",
-        "max_attempts": "scalar dimensionless",
-        "lease_timeout_s": "scalar second", "poll_s": "scalar second",
-        "wait": "any", "max_jobs": "any",
-        "generation": "scalar dimensionless",
-    },
-    "GridWorker.run": {"return": "any"},
-    # Concurrency discipline (REP2xx): the heartbeat thread only touches
-    # the queue's lock-guarded held-lease set; the stop event is the sole
-    # cross-thread signal.
     "@threads": ["GridWorker._heartbeat_loop"],
     "@blocking": ["GridWorker.run"],
 }

@@ -74,17 +74,3 @@ def assignment_to_json(assignment: SignedPermutation, indent: int = 2) -> str:
 
 def assignment_from_json(text: str) -> SignedPermutation:
     return assignment_from_dict(json.loads(text))
-
-
-#: Exactness discipline (REP3xx, see ``docs/static_analysis.md``):
-#: serialized reports are diffed across runs by the regression trackers,
-#: so their bytes must be a pure function of the input rows.
-REPRO_SIGNATURES = {
-    "@deterministic": [
-        "rows_to_records",
-        "rows_to_json",
-        "rows_to_csv",
-        "assignment_to_dict",
-        "assignment_to_json",
-    ],
-}

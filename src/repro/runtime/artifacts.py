@@ -293,36 +293,3 @@ class CheckpointStore:
             self.path_for(name).unlink()
         except OSError:
             pass
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md`` and ``docs/robustness.md``).
-REPRO_SIGNATURES = {
-    "CheckpointStore": {
-        "directory": "any",
-        "kind": "any",
-        "fingerprint": "any",
-    },
-    "CheckpointStore.save": {
-        "name": "any",
-        "payload": "any",
-        "step": "scalar dimensionless",
-    },
-    "CheckpointStore.load": {
-        "name": "any",
-        "return": "Checkpoint | any",
-    },
-    "Checkpoint.step": "scalar dimensionless",
-    "payload_digest": {"payload": "any", "return": "any"},
-    "encode_rng_state": {"rng": "any", "return": "any"},
-    # Exactness discipline (REP3xx): checkpoint payloads and the run
-    # fingerprint are replayed byte-for-byte on resume — a wall-clock
-    # stamp or set-ordered field would defeat bit-identical restarts.
-    "@deterministic": [
-        "CheckpointStore.save payload",
-        "CheckpointStore fingerprint",
-        "encode_rng_state",
-        "jsonify",
-        "payload_digest",
-    ],
-}

@@ -348,14 +348,10 @@ class inject_faults:
             _local_plan = self._previous
 
 
-#: Shape/unit signatures for the deep-lint flow pass.
+#: Concurrency facts for the ``--threads`` pass: the active plan is
+#: process-global and read from every worker thread; fault_point may sleep
+#: (slow_solve), so it must never be reached while the caller holds a lock.
 REPRO_SIGNATURES = {
-    "FaultPlan": {"spec": "any"},
-    "fault_point": {"name": "any"},
-    "active_plan": {"return": "FaultPlan | any"},
-    # Concurrency discipline: the active plan is process-global and read
-    # from every worker thread; fault_point may sleep (slow_solve), so it
-    # must never be reached while the caller holds a lock.
     "@guards": [
         "_local_plan guarded_by _plan_lock",
         "_env_plan guarded_by _plan_lock",

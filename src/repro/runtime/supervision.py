@@ -248,18 +248,3 @@ class ChainSupervisor:
                 report.n_failed, self.n_chains, self.name,
             )
         return report
-
-
-#: Shape/unit signatures for the deep-lint flow pass.
-REPRO_SIGNATURES = {
-    "Deadline": {"budget_s": "scalar second"},
-    "Deadline.remaining": {"return": "scalar second"},
-    "Deadline.elapsed": {"return": "scalar second"},
-    "Deadline.budget_s": "scalar second",
-    "ChainSupervisor": {
-        "rng": "any",
-        "n_chains": "scalar dimensionless",
-        "max_retries": "scalar dimensionless",
-    },
-    "ChainSupervisor.run": {"chain_fn": "any", "return": "SupervisionReport"},
-}

@@ -833,66 +833,13 @@ def parse_codec_spec(text: str) -> Dict[str, object]:
     return spec
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = chunk samples.
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``).
 REPRO_SIGNATURES = {
-    "GrayCodec": {"width": "scalar dimensionless", "negated": "any"},
-    "GrayCodec.encode": {"words": "(T,) dimensionless",
-                         "return": "(T,) dimensionless"},
-    "GrayCodec.decode": {"words": "(T,) dimensionless",
-                         "return": "(T,) dimensionless"},
-    "CorrelatorCodec": {
-        "width": "scalar dimensionless",
-        "n_channels": "scalar dimensionless",
-        "negated": "any",
-    },
-    "CorrelatorCodec.encode": {"words": "(T,) dimensionless",
-                               "return": "(T,) dimensionless"},
-    "CorrelatorCodec.decode": {"coded": "(T,) dimensionless",
-                               "return": "(T,) dimensionless"},
-    "BusInvertCodec": {"width": "scalar dimensionless"},
-    "BusInvertCodec.encode": {"words": "(T,) dimensionless",
-                              "return": "(T,) dimensionless"},
-    "BusInvertCodec.decode": {"coded": "(T,) dimensionless",
-                              "return": "(T,) dimensionless"},
-    "CouplingInvertCodec": {"width": "scalar dimensionless"},
-    "CouplingInvertCodec.encode": {"words": "(T,) dimensionless",
-                                   "return": "(T,) dimensionless"},
-    "CouplingInvertCodec.decode": {"coded": "(T,) dimensionless",
-                                   "return": "(T,) dimensionless"},
-    "CacCodec": {"geometry": "TSVArrayGeometry", "include_diagonal": "any"},
-    "CacCodec.encode": {"words": "(T,) dimensionless",
-                        "return": "(T,) dimensionless"},
-    "CacCodec.decode": {"coded": "(T,) dimensionless",
-                        "return": "(T,) dimensionless"},
-    # Concurrency discipline: the codebook cache is class-level state
-    # shared by every link whose session constructs a CacCodec, and
-    # sessions are built concurrently on executor threads.
+    # The codebook cache is class-level state shared by every link whose
+    # session constructs a CacCodec, and sessions are built concurrently
+    # on executor threads.
     "@threads": ["CacCodec"],
     "@guards": ["CacCodec._codebook_cache guarded_by _cache_lock"],
     "@blocking": ["build_lat_codebook"],
-    "CodecChain.encode": {"words": "(T,) dimensionless",
-                          "return": "(T,) dimensionless"},
-    "CodecChain.decode": {"words": "(T,) dimensionless",
-                          "return": "(T,) dimensionless"},
-    "build_codec": {
-        "spec": "any",
-        "width_in": "scalar dimensionless",
-        "geometry": "TSVArrayGeometry",
-        "return": "StreamCodec",
-    },
-    "build_chain": {
-        "specs": "any",
-        "width_in": "scalar dimensionless",
-        "geometry": "TSVArrayGeometry",
-        "return": "CodecChain",
-    },
-    "parse_codec_spec": {"text": "any"},
-    # Exactness discipline (REP3xx): codeword streams on the wire are
-    # exact integer words — a float temporary anywhere in a chain round
-    # trip would corrupt the transition counts downstream.
-    "@exact": [
-        "CodecChain.encode return",
-        "CodecChain.decode return",
-    ],
 }

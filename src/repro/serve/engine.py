@@ -439,28 +439,7 @@ class ServeEngine:
         await self.close()
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = request samples.
-REPRO_SIGNATURES = {
-    "BatchPolicy": {
-        "window_s": "scalar second",
-        "max_batch_words": "scalar dimensionless",
-        "max_batch_requests": "scalar dimensionless",
-        "queue_limit": "scalar dimensionless",
-    },
-    "ServeEngine.submit": {
-        "link_id": "any",
-        "op": "any",
-        "words": "(T,) dimensionless",
-        "deadline_s": "scalar second",
-        "return": "(T,) dimensionless",
-    },
-    "ServeEngine.create_link": {
-        "link_id": "any",
-        "config": "LinkConfig",
-        "return": "LinkSession",
-    },
-    # Concurrency discipline: batches execute on the engine's worker
-    # pool; per-link state beyond that is event-loop-confined.
-    "@threads": ["ServeEngine._run_batch"],
-}
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): batches execute on the engine's worker
+#: pool; per-link state beyond that is event-loop-confined.
+REPRO_SIGNATURES = {"@threads": ["ServeEngine._run_batch"]}

@@ -1206,25 +1206,3 @@ def _error(request_id: Any, exc: Exception) -> Dict[str, Any]:
     """An error response header; overload NACKs are marked retriable."""
     retriable = isinstance(exc, OverloadedError)
     return jsonable(error_header(request_id, exc, retriable=retriable))
-
-
-#: Signatures for the lint passes. The fleet has no shape/unit surface
-#: of its own (payloads are typed at the worker's session boundary); the
-#: entries declare the routing function's determinism contract — a link
-#: that hashed to a different slot after a front restart would lose its
-#: journal continuity.
-REPRO_SIGNATURES = {
-    "worker_for": {"link_id": "any", "slots": "any",
-                   "return": "scalar dimensionless"},
-    "FleetServer": {
-        "n_workers": "scalar dimensionless",
-        "snapshot_every": "scalar dimensionless",
-        "heartbeat_interval_s": "scalar second",
-        "heartbeat_misses": "scalar dimensionless",
-        "backoff_base_s": "scalar second",
-        "backoff_max_s": "scalar second",
-        "worker_boot_timeout_s": "scalar second",
-        "park_limit": "scalar dimensionless",
-    },
-    "@deterministic": ["worker_for"],
-}

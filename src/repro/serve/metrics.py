@@ -376,7 +376,9 @@ class EnergyAccount:
             for lo in range(0, deltas.shape[0], _GRAM_SLAB_ROWS):
                 slab = deltas[lo:lo + _GRAM_SLAB_ROWS]
                 gram = slab.T @ slab
-                self._gram += gram.astype(np.int64)  # repro: noqa[REP304] integer-valued float32 sums stay < 2**24, exact in any order
+                # Integer-valued float32 sums stay < 2**24: exact in any
+                # order, so the int64 cast loses nothing.
+                self._gram += gram.astype(np.int64)
             self._ones += bits.sum(axis=0, dtype=np.int64)
             self._n_samples += bits.shape[0]
             self._last = bits[-1].astype(np.uint8)
@@ -528,32 +530,11 @@ class EnergyAccount:
         }
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = batch samples, ``N`` = lines.
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): these classes are updated from worker
+#: threads and snapshotted from the event loop, so every mutable field is
+#: guarded by its owner's lock.
 REPRO_SIGNATURES = {
-    "LatencyHistogram.record": {"seconds": "scalar second"},
-    "LatencyHistogram.percentile": {
-        "q": "scalar dimensionless",
-        "return": "scalar second",
-    },
-    "RateMeter": {"window_s": "scalar second"},
-    "RateMeter.add": {"count": "scalar dimensionless",
-                      "now": "scalar second"},
-    "RateMeter.rate": {"now": "scalar second",
-                       "return": "scalar hertz"},
-    "EnergyAccount": {
-        "n_lines": "scalar dimensionless",
-        "capacitance": "(N, N) farad spice | LinearCapacitanceModel",
-    },
-    "EnergyAccount.update": {"bits": "(T, N) bit"},
-    "EnergyAccount.statistics": {"return": "BitStatistics"},
-    "EnergyAccount.normalized_power": {"return": "scalar farad"},
-    "EnergyAccount.n_lines": "scalar dimensionless",
-    "EnergyAccount.n_samples": "scalar dimensionless",
-    "EnergyAccount.n_transitions": "scalar dimensionless",
-    # Concurrency discipline (see the REP2xx section of the docs): these
-    # classes are updated from worker threads and snapshotted from the
-    # event loop, so every mutable field is guarded by its owner's lock.
     "@threads": [
         "LatencyHistogram.record",
         "RateMeter.add",
@@ -582,23 +563,5 @@ REPRO_SIGNATURES = {
         "EnergyAccount._ones guarded_by _lock",
         "EnergyAccount._n_samples guarded_by _lock",
         "EnergyAccount._last guarded_by _lock",
-    ],
-    # Exactness discipline (REP3xx): the energy tallies are the paper's
-    # integer statistic — float contamination would break the bit-exact
-    # online-vs-offline agreement the serve layer guarantees — and the
-    # derived statistics/report must be reproducible for a given stream.
-    "@exact": [
-        "EnergyAccount._gram",
-        "EnergyAccount._ones",
-        "EnergyAccount._n_samples",
-    ],
-    "@deterministic": [
-        "EnergyAccount.statistics",
-        "EnergyAccount.report",
-        # Fleet-level fold: integer bucket/total sums, max of maxima and
-        # math.fsum (the correctly rounded true sum) make the merge a
-        # commutative monoid — any merge order yields the same bits.
-        "merge_latency_states",
-        "EnergyAccount.state_dict",
     ],
 }

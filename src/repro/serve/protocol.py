@@ -225,12 +225,3 @@ def payload_to_words(payload: bytes) -> np.ndarray:
             f"{WORD_BYTES}-byte words"
         )
     return np.frombuffer(payload, dtype="<i8").astype(np.int64)
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = words per frame.
-REPRO_SIGNATURES = {
-    "words_to_payload": {"words": "(T,) dimensionless"},
-    "payload_to_words": {"payload": "any",
-                         "return": "(T,) dimensionless"},
-}

@@ -268,6 +268,11 @@ class LinkServer:
 
     async def close(self) -> None:
         if self._server is not None:
+            # One loop turn first, so an accept the loop already scheduled
+            # attaches its transport while the server is open: Python 3.11
+            # drops a transport that attaches after close() with its
+            # socket still open.
+            await asyncio.sleep(0)
             self._server.close()
             await self._server.wait_closed()
             self._server = None
@@ -353,6 +358,12 @@ class LinkServer:
             try:
                 await writer.wait_closed()
             except (ConnectionResetError, BrokenPipeError):
+                pass
+            except asyncio.CancelledError:
+                # Loop teardown cancels a handler that started after
+                # close() reaped the others; writer.close() above already
+                # releases the socket, so end as cleanly as a cancel in
+                # the read loop does.
                 pass
 
     def _dispatch(
@@ -605,15 +616,13 @@ class BackgroundServer:
         return self
 
     def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-        try:
-            loop.run_until_complete(self._main())
-        finally:
-            loop.close()
+        # asyncio.run, not a bare run_until_complete: its teardown cancels
+        # the tasks still pending (a connection that raced stop) and runs
+        # the loop until their transports have closed their sockets.
+        asyncio.run(self._main())
 
     async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
         if self._server_factory is not None:
             server = self._server_factory()
         else:
@@ -683,11 +692,7 @@ class BackgroundServer:
         self.stop()
 
 
-#: Signatures for the lint passes. The server has no shape/unit surface
-#: of its own (payloads are typed at the session boundary); the entries
-#: here declare its threading structure for the concurrency pass.
-REPRO_SIGNATURES = {
-    # The serve loop runs on the background thread; everything it touches
-    # is event-loop-confined or handed over via call_soon_threadsafe.
-    "@threads": ["BackgroundServer._run"],
-}
+#: Concurrency facts for the ``--threads`` pass: the serve loop runs on
+#: the background thread; everything it touches is event-loop-confined or
+#: handed over via call_soon_threadsafe.
+REPRO_SIGNATURES = {"@threads": ["BackgroundServer._run"]}

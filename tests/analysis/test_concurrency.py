@@ -14,7 +14,7 @@ from repro.analysis.concurrency import (
 )
 from repro.analysis.findings import rule_catalog
 from repro.analysis.linter import DaemonThreadRule, lint_paths, lint_source
-from repro.analysis.registry import SignatureRegistry
+from repro.analysis.registry import SignatureRegistry, build_registry
 
 FIXTURE_DIR = (
     Path(__file__).resolve().parent / "fixtures" / "concurrency"
@@ -101,13 +101,6 @@ def test_run_lint_exclude_drops_fixture_findings():
     )
     assert code == 0
     assert "REP2" not in stream.getvalue()
-
-
-def test_run_lint_deep_includes_thread_findings():
-    stream = io.StringIO()
-    bad = FIXTURE_DIR / "rep201_unguarded_write.py"
-    assert run_lint([str(bad)], deep=True, stream=stream) == 1
-    assert "REP201" in stream.getvalue()
 
 
 def test_rule_catalog_includes_thread_family():
@@ -272,6 +265,48 @@ def test_guards_entries_normalize_class_and_module_forms():
     assert registry.blocking == {"slow_call"}
 
 
+_ATTRIBUTE_CASE = (
+    "import threading\n"
+    "import time\n"
+    "\n"
+    "\n"
+    "class Pool:\n"
+    "    def drain(self):\n"
+    "        time.sleep(0.1)\n"
+    "\n"
+    "\n"
+    "class Owner:\n"
+    "    def __init__(self):\n"
+    "        self._lock = threading.Lock()\n"
+    "        self.pool = Pool()\n"
+    "\n"
+    "    def flush(self):\n"
+    "        with self._lock:\n"
+    "            self.pool.drain()\n"
+)
+
+
+def test_attribute_type_entry_resolves_calls_through_the_attribute():
+    """``self.pool.drain()`` reaches ``Pool.drain`` only via the entry."""
+    declared = _ATTRIBUTE_CASE + '\nREPRO_SIGNATURES = {"Owner.pool": "Pool"}\n'
+    findings = analyze_thread_source(declared, "attr_case.py")
+    assert [(f.rule, f.line) for f in findings] == [("REP204", 17)]
+    assert analyze_thread_source(_ATTRIBUTE_CASE, "attr_case.py") == []
+
+
+def test_package_attribute_types_stay_declared():
+    """The attribute types the pass resolves calls through in src/repro."""
+    registry = build_registry()
+    declared = {
+        ("CapacitanceExtractor", "geometry"): "TSVArrayGeometry",
+        ("LinkSession", "coded_energy"): "EnergyAccount",
+        ("LinkSession", "uncoded_energy"): "EnergyAccount",
+        ("PowerModel", "cap_model"): "LinearCapacitanceModel",
+    }
+    for (owner, attr), cls in declared.items():
+        assert registry.member_attribute(owner, attr) == cls
+
+
 def test_malformed_guards_entry_is_rejected():
     registry = SignatureRegistry()
     with pytest.raises(ValueError, match="guarded_by"):
@@ -280,6 +315,10 @@ def test_malformed_guards_entry_is_rejected():
         )
     with pytest.raises(ValueError, match="directive"):
         registry.add_module_signatures("pkg.mod", {"@wat": ["x"]})
+    with pytest.raises(ValueError, match="attribute entry"):
+        registry.add_module_signatures(
+            "pkg.mod", {"Owner.pool": "(N,) farad"}
+        )
 
 
 # -- REP007 (shallow) ----------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for every REPxxx linter rule: positive, negative and noqa."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import Finding, lint_paths, lint_source, run_lint
+from repro.analysis.findings import render_github, render_sarif, rule_catalog
 from repro.cli import main as cli_main
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -261,6 +263,37 @@ def test_findings_carry_location_and_render():
     assert isinstance(finding, Finding)
     assert (finding.path, finding.line) == ("mod.py", 2)
     assert finding.render().startswith("mod.py:2:")
+
+
+_SAMPLE = [
+    Finding("src/x.py", 3, 4, "REP201", "unguarded write to Box.item"),
+    Finding("src/x.py", 9, 0, "REP001", "unseeded rng, 100% wrong"),
+]
+
+
+def test_sarif_output_is_valid_and_declares_rules():
+    log = json.loads(render_sarif(_SAMPLE))
+    assert log["version"] == "2.1.0"
+    run = log["runs"][0]
+    declared = [rule["id"] for rule in run["tool"]["driver"]["rules"]]
+    assert set(rule_catalog()) <= set(declared)
+    results = run["results"]
+    assert [r["ruleId"] for r in results] == ["REP201", "REP001"]
+    location = results[0]["locations"][0]["physicalLocation"]
+    assert location["artifactLocation"]["uri"] == "src/x.py"
+    assert location["region"] == {"startLine": 3, "startColumn": 5}
+    for result in results:
+        assert declared[result["ruleIndex"]] == result["ruleId"]
+
+
+def test_github_renderer_emits_escaped_workflow_commands():
+    out = render_github(_SAMPLE).splitlines()
+    assert out[0] == (
+        "::error file=src/x.py,line=3,col=5,title=REP201"
+        "::unguarded write to Box.item"
+    )
+    assert "%25" in out[1]  # '%' escaped per the workflow-command spec
+    assert render_github([]) == ""
 
 
 def test_run_lint_exit_codes(tmp_path, capsys):

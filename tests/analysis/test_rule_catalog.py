@@ -6,9 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.concurrency import THREAD_RULES
-from repro.analysis.exactness import EXACT_RULES
 from repro.analysis.findings import render_sarif, rule_catalog
-from repro.analysis.flow import DEEP_RULES
 from repro.analysis.linter import ALL_RULES
 
 DOCS = Path(__file__).resolve().parents[2] / "docs" / "static_analysis.md"
@@ -16,9 +14,7 @@ DOCS = Path(__file__).resolve().parents[2] / "docs" / "static_analysis.md"
 
 def all_rule_codes():
     codes = {rule_cls.code for rule_cls in ALL_RULES}
-    codes |= set(DEEP_RULES)
     codes |= set(THREAD_RULES)
-    codes |= set(EXACT_RULES)
     return sorted(codes)
 
 
@@ -53,9 +49,7 @@ def test_catalog_has_no_orphan_entries():
 def test_rule_families_do_not_collide():
     families = [
         {rule_cls.code for rule_cls in ALL_RULES},
-        set(DEEP_RULES),
         set(THREAD_RULES),
-        set(EXACT_RULES),
     ]
     seen = set()
     for family in families:

@@ -7,6 +7,7 @@ session cache (exactly-once), and re-issues explicit retriable NACKs.
 """
 
 import asyncio
+import gc
 import socket
 
 import numpy as np
@@ -350,3 +351,33 @@ class TestValidation:
         finally:
             a.close()
             b.close()
+
+
+class TestNoLeakedSockets:
+    """Give-up and reject paths close every socket, on both ends."""
+
+    # A leaked socket warns from its __del__, where pytest reports it as
+    # an unraisable-exception warning; both warnings fail these tests.
+    pytestmark = [
+        pytest.mark.filterwarnings("error::ResourceWarning"),
+        pytest.mark.filterwarnings(
+            "error::pytest.PytestUnraisableExceptionWarning"
+        ),
+    ]
+
+    def test_exhausted_retries_close_every_socket(self, tmp_path):
+        with BackgroundServer(path=str(tmp_path / "rt.sock")) as bg:
+            client = LinkClient.connect(
+                bg.address, **fast_retries(retries=2)
+            )
+            client.create_link("lnk", CONFIG)
+        with pytest.raises(ConnectionError):
+            client.stream("lnk", words_stream(n=100), op="encode")
+        assert client._sock.fileno() == -1
+        gc.collect()
+
+    def test_rejected_connect_closes_its_socket(self, tmp_path):
+        with BackgroundServer(path=str(tmp_path / "rt.sock")) as bg:
+            with pytest.raises(ValueError):
+                LinkClient.connect(bg.address, retries=-1)
+        gc.collect()

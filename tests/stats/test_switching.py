@@ -21,6 +21,34 @@ class TestValidation:
         with pytest.raises(ValueError):
             validate_bit_stream(np.full((4, 4), 2))
 
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [
+            (0.5, np.float64),
+            (np.nan, np.float64),
+            (2, np.float64),
+            (-1, np.float64),
+            (2, np.uint8),
+            (2, np.int8),
+            (-1, np.int8),
+            (2, np.int64),
+            (-1, np.int64),
+        ],
+    )
+    def test_rejects_non_bit_values(self, value, dtype):
+        stream = np.zeros((4, 3), dtype=dtype)
+        stream[2, 1] = value
+        with pytest.raises(ValueError, match="only 0 and 1"):
+            validate_bit_stream(stream)
+
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64, np.float64])
+    def test_accepts_bits_and_empty_lines_in_any_dtype(self, dtype):
+        bits = np.array([[0, 1], [1, 1], [1, 0]], dtype=dtype)
+        np.testing.assert_array_equal(
+            validate_bit_stream(bits), bits.astype(np.uint8)
+        )
+        assert validate_bit_stream(np.zeros((3, 0), dtype=dtype)).shape == (3, 0)
+
     def test_returns_uint8(self):
         out = validate_bit_stream(np.zeros((3, 2), dtype=np.int64))
         assert out.dtype == np.uint8

@@ -1,5 +1,7 @@
 """Tests for the extraction front-end (method selection and caching)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,21 @@ class TestExtractor:
         fresh = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
                                      cache_dir=tmp_path)
         np.testing.assert_allclose(fresh.extract(), reference)
+
+    @pytest.mark.filterwarnings("error::ResourceWarning")
+    @pytest.mark.filterwarnings(
+        "error::pytest.PytestUnraisableExceptionWarning"
+    )
+    def test_truncated_disk_cache_closes_its_file(self, geom, tmp_path):
+        ex = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
+                                  cache_dir=tmp_path)
+        reference = ex.extract()
+        cache_file = next(tmp_path.glob("cap_*.npz"))
+        cache_file.write_bytes(cache_file.read_bytes()[:64])  # zip magic
+        fresh = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
+                                     cache_dir=tmp_path)
+        np.testing.assert_allclose(fresh.extract(), reference)
+        gc.collect()
 
     def test_wrong_shape_cache_discarded(self, geom, tmp_path):
         ex = CapacitanceExtractor(geom, method="fdm", resolution=0.5e-6,
